@@ -4,12 +4,15 @@ Times an Item-LRU capacity sweep (12 capacities, 10^6-access Zipf
 trace by default) two ways:
 
 * **baseline** — the pre-batching parallel path, faithfully
-  reproduced: ``batch="never"`` plus ``REPRO_NO_COMPILE_MEMO=1`` (the
+  reproduced: a ``functools.partial(simulate_cell)`` worker (``sweep``
+  collapses only cells bound for ``simulate_cell`` itself, so every
+  cell replays alone) plus ``REPRO_NO_COMPILE_MEMO=1`` (the
   fingerprint-keyed compile memo would otherwise spare the baseline
   the per-cell recompiles it historically paid) and ``REPRO_NO_SHM=1``
   (per-cell trace pickling instead of arenas);
 * **batched** — ``sweep`` as shipped: the grid collapses into one
-  multi-capacity Mattson replay in the parent.
+  ``multi_policy_replay`` call in the parent, answered by a single
+  Mattson pass.
 
 Asserts the two row sets are bit-identical, re-certifies the batched
 kernel against the validating referee on a trace prefix, writes
@@ -30,6 +33,7 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_sweep.py``.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -64,11 +68,9 @@ def _strip(rows):
     ]
 
 
-def _timed_sweep(cells, workers, **kwargs):
+def _timed_sweep(worker, cells, workers):
     t0 = time.perf_counter()
-    rows = sweep(
-        simulate_cell, cells, parallel=True, max_workers=workers, **kwargs
-    )
+    rows = sweep(worker, cells, parallel=True, max_workers=workers)
     return time.perf_counter() - t0, rows
 
 
@@ -87,7 +89,7 @@ def test_batched_sweep_gate(bench_trace, capacities, out_dir):
     os.environ["REPRO_NO_SHM"] = "1"
     try:
         t_baseline, baseline_rows = _timed_sweep(
-            cells, workers, batch="never"
+            functools.partial(simulate_cell), cells, workers
         )
     finally:
         for key, value in saved.items():
@@ -96,7 +98,7 @@ def test_batched_sweep_gate(bench_trace, capacities, out_dir):
             else:
                 os.environ[key] = value
 
-    t_batched, batched_rows = _timed_sweep(cells, workers)
+    t_batched, batched_rows = _timed_sweep(simulate_cell, cells, workers)
 
     # Identical rows, cell for cell: batching is a pure optimization.
     assert _strip(batched_rows) == _strip(baseline_rows)

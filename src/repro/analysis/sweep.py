@@ -9,24 +9,18 @@ data).  Results always come back in grid order regardless of
 completion order, so parallel and serial runs are bit-identical.
 
 Two transparent accelerations sit on top (both pure optimizations —
-rows are bit-identical with them on or off):
+rows are bit-identical to per-cell replay):
 
-* **Multi-capacity batching** (``batch="auto"``, the default): when a
-  group of :func:`simulate_cell` cells differs only in ``capacity``
-  over a stack policy (Item-LRU, Block-LRU), the whole group collapses
-  into one :func:`repro.core.fast.multi_capacity_replay` pass — one
-  O(T log T) stack-distance computation instead of one replay per
-  capacity.  The collapse is conservative: any extra cell key, a
-  non-stack policy, ``fast=False``, ``timing=True``, or an unsupported
-  trace/capacity combination silently falls back to per-cell replay
-  (see ``docs/fastpath.md``).  ``batch="never"`` disables it.
-* **Multi-policy batching** (also ``batch="auto"``): cells the Mattson
-  collapse leaves behind that are still plain fast-path cells over
-  kernel-covered policies collapse per trace into one
-  :func:`repro.core.fast.multi_policy_replay` traversal — the whole
-  policy axis of an ablation matrix costs one pass over the compiled
-  trace instead of one replay per policy.  The same conservative
-  gating applies; ineligible cells replay per-cell as before.
+* **Per-trace collapse**: plain :func:`simulate_cell` fast-path cells
+  over kernel-covered policies collapse per trace into one
+  :func:`repro.core.fast.multi_policy_replay` call — the whole policy
+  axis of an ablation matrix costs one pass over the compiled trace
+  instead of one replay per policy, and Item-LRU/Block-LRU capacity
+  axes inside it collapse further into one O(T log T) Mattson
+  stack-distance pass.  The collapse is conservative: any extra cell
+  key, a kernel-less policy, ``fast=False``, ``timing=True``, a worker
+  other than :func:`simulate_cell` itself, or a lone cell on its trace
+  replays per cell (see ``docs/fastpath.md``).
 * **Shared-memory trace arenas**: a parallel sweep publishes each
   distinct trace once via :mod:`repro.core.arena` and ships workers a
   small handle instead of pickling the trace per cell; workers attach
@@ -68,7 +62,7 @@ from repro.errors import ConfigurationError, SweepCellError
 
 __all__ = ["grid", "simulate_cell", "sweep", "default_workers"]
 
-#: Cell keys a multi-capacity collapse may see; anything else (e.g. a
+#: Cell keys the per-trace collapse may see; anything else (e.g. a
 #: policy kwarg like ``item_layer_size``) forces per-cell replay.
 _BATCHABLE_KEYS = frozenset({"policy", "capacity", "trace", "fast"})
 
@@ -210,51 +204,6 @@ def _call_chunk(
     return out
 
 
-def _plan_batches(
-    cell_list: List[Dict[str, Any]],
-) -> List[Tuple[List[int], str, Any, List[int]]]:
-    """Group collapsible :func:`simulate_cell` cells by (policy, trace).
-
-    A group qualifies when every member is a plain fast-path cell over
-    the same trace object and a batchable stack policy, varying only in
-    capacity, and :func:`repro.core.fast.multi_capacity_supported`
-    accepts the combination.  Groups of fewer than two cells are left
-    to per-cell replay (no win to be had).
-    """
-    from repro.core.fast import MULTI_CAPACITY_POLICIES, multi_capacity_supported
-    from repro.core.trace import Trace
-
-    groups: Dict[Tuple[str, int], List[int]] = {}
-    traces: Dict[int, Any] = {}
-    for i, cell in enumerate(cell_list):
-        if not _BATCHABLE_KEYS.issuperset(cell):
-            continue
-        policy = cell.get("policy")
-        capacity = cell.get("capacity")
-        trace = cell.get("trace")
-        if cell.get("fast", True) is not True:
-            continue
-        if policy not in MULTI_CAPACITY_POLICIES:
-            continue
-        if not isinstance(capacity, int) or isinstance(capacity, bool):
-            continue
-        if capacity < 1 or not isinstance(trace, Trace):
-            continue
-        key = (policy, id(trace))
-        groups.setdefault(key, []).append(i)
-        traces[id(trace)] = trace
-    plans = []
-    for (policy, trace_id), indices in groups.items():
-        if len(indices) < 2:
-            continue
-        trace = traces[trace_id]
-        caps = sorted({int(cell_list[i]["capacity"]) for i in indices})
-        if not multi_capacity_supported(policy, trace, caps):
-            continue
-        plans.append((indices, policy, trace, caps))
-    return plans
-
-
 def _publish_traces(
     cells: List[Dict[str, Any]],
 ) -> Tuple[List[Any], List[Dict[str, Any]]]:
@@ -302,38 +251,18 @@ def _restore_row(row: Dict[str, Any], original: Dict[str, Any]) -> Dict[str, Any
     return row
 
 
-def _run_batches(
-    cell_list: List[Dict[str, Any]],
-    rows: List[Optional[Dict[str, Any]]],
-) -> None:
-    """Fill ``rows`` for every collapsible cell via batched replay."""
-    from repro.core.fast import multi_capacity_replay
-    from repro.telemetry import spans
-
-    for indices, policy, trace, caps in _plan_batches(cell_list):
-        with spans.span(
-            "sweep.batch", policy=policy, cells=len(indices), capacities=len(caps)
-        ):
-            results = multi_capacity_replay(policy, trace, caps)
-        for i in indices:
-            cell = cell_list[i]
-            row = results[int(cell["capacity"])].as_row()
-            for key, value in cell.items():
-                row.setdefault(key, value)
-            rows[i] = row
-
-
 def _run_policy_batches(
     cell_list: List[Dict[str, Any]],
     rows: List[Optional[Dict[str, Any]]],
 ) -> None:
-    """Collapse remaining pure policy/capacity cells per trace.
+    """Collapse pure policy/capacity cells per trace (the one collapse).
 
-    After the Mattson collapse, any unfilled :func:`simulate_cell`
-    cells that are plain fast-path cells over a kernel-covered policy
-    are grouped by trace object and advanced together by one
-    :func:`repro.core.fast.multi_policy_replay` traversal — the
-    compile/decode work is shared across the whole policy axis.  A
+    :func:`simulate_cell` cells that are plain fast-path cells over a
+    kernel-covered policy are grouped by trace object and each group
+    of two or more runs as one
+    :func:`repro.core.fast.multi_policy_replay` call, which
+    Mattson-collapses Item-LRU/Block-LRU capacity axes itself and
+    advances every other cell over one shared traversal.  A
     single-cell group is left alone (``fast_simulate`` already covers
     it at the same cost), and any :class:`ConfigurationError` from the
     batched engine silently defers to per-cell replay.
@@ -345,7 +274,7 @@ def _run_policy_batches(
     groups: Dict[int, List[int]] = {}
     traces: Dict[int, Any] = {}
     for i, cell in enumerate(cell_list):
-        if rows[i] is not None or not _BATCHABLE_KEYS.issuperset(cell):
+        if not _BATCHABLE_KEYS.issuperset(cell):
             continue
         policy = cell.get("policy")
         capacity = cell.get("capacity")
@@ -387,7 +316,6 @@ def sweep(
     max_workers: int | None = None,
     timing: bool = False,
     chunksize: int = 1,
-    batch: str = "auto",
 ) -> List[Dict[str, Any]]:
     """Evaluate ``fn(**cell)`` for every cell; return rows in order.
 
@@ -410,7 +338,7 @@ def sweep(
     timing:
         Attach each cell's in-worker wall-clock seconds as a
         ``cell_seconds`` column (worker-provided values win).  Timing
-        disables multi-capacity batching — a collapsed group has no
+        disables the per-trace collapse — a collapsed group has no
         per-cell wall clock to report.
     chunksize:
         Cells per worker round-trip.  The default 1 submits each cell
@@ -419,25 +347,21 @@ def sweep(
         overhead for big grids of cheap cells at the cost of reduced
         error fidelity (type name + message only) and coarser
         load-balancing.
-    batch:
-        ``"auto"`` collapses pure capacity sweeps over stack policies
-        into one multi-capacity replay and the remaining pure
-        policy/capacity cells into one multi-policy traversal per
-        trace (bit-identical rows, see module docstring); ``"never"``
-        forces per-cell replay.
+
+    Pure :func:`simulate_cell` cells collapse into one
+    multi-policy replay per trace (bit-identical rows, see the module
+    docstring).  For per-cell rows, pass any other worker — e.g.
+    ``functools.partial(simulate_cell)``.
     """
     cell_list = list(cells)
     if not cell_list:
         return []
-    if batch not in ("auto", "never"):
-        raise ConfigurationError(f"batch must be 'auto' or 'never', got {batch!r}")
     if chunksize < 1:
         raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
     rows: List[Optional[Dict[str, Any]]] = [None] * len(cell_list)
     # The collapse runs in-parent even for parallel sweeps: one batched
     # replay is cheaper than shipping its cells anywhere.
-    if batch == "auto" and not timing and fn is simulate_cell:
-        _run_batches(cell_list, rows)
+    if not timing and fn is simulate_cell:
         _run_policy_batches(cell_list, rows)
     pending = [i for i in range(len(cell_list)) if rows[i] is None]
     if not pending:

@@ -33,7 +33,6 @@ from repro.campaign.runner import (
 from repro.campaign.spec import (
     CampaignSpec,
     TraceSpec,
-    cell_hash,
     trace_workload_names,
 )
 from repro.campaign.store import ResultStore
@@ -329,17 +328,7 @@ def collect_rows(directory: str | Path) -> List[Dict[str, Any]]:
     }
     rows: List[Dict[str, Any]] = []
     with ResultStore(directory) as store:
-        for cell in spec.cells:
-            digest = cell_hash(
-                policy=cell.policy,
-                capacity=cell.capacity,
-                trace_fingerprint=fingerprints[cell.trace],
-                fast=cell.fast,
-                policy_kwargs=cell.policy_kwargs,
-                version=spec.version,
-                serving=cell.serving,
-                cluster=cell.cluster,
-            )
+        for cell, digest in zip(spec.cells, spec.digests(fingerprints)):
             stored = store.get(digest)
             if stored is None:
                 continue
@@ -372,17 +361,8 @@ def _status(directory: str) -> tuple:
     done = 0
     stuck = 0
     with ResultStore(directory) as store:
-        for index, cell in enumerate(spec.cells):
-            digest = cell_hash(
-                policy=cell.policy,
-                capacity=cell.capacity,
-                trace_fingerprint=fingerprints[cell.trace],
-                fast=cell.fast,
-                policy_kwargs=cell.policy_kwargs,
-                version=spec.version,
-                serving=cell.serving,
-                cluster=cell.cluster,
-            )
+        digests = spec.digests(fingerprints)
+        for index, (cell, digest) in enumerate(zip(spec.cells, digests)):
             stored = digest in store
             done += stored
             # A quarantine record only matters while the cell is still

@@ -1,7 +1,7 @@
 """Experiment integration: a memoizing ``simulate`` front-end.
 
-The experiment drivers (:mod:`repro.experiments`) call ``simulate``
-directly with hand-built policies; rewriting them as declarative grids
+The experiment drivers (:mod:`repro.experiments`) replay hand-built
+policy cells over their own traces; rewriting them as declarative grids
 would lose their narrative structure.  :class:`CampaignCache` instead
 gives them the campaign subsystem's memoization à la carte: it looks
 like ``simulate`` but is keyed by the same content address the runner
@@ -20,7 +20,7 @@ mixing both memoize the trace-driven part.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.campaign.journal import Journal
 from repro.campaign.spec import cell_hash
@@ -68,29 +68,12 @@ class CampaignCache:
         ``policy`` is a registry name (:func:`repro.policies.make_policy`);
         the returned :class:`SimResult` is bit-identical whether it was
         computed now or served from the store (the store keeps the full
-        result state, not just the derived row).
+        result state, not just the derived row).  A one-cell
+        :meth:`simulate_many`.
         """
-        digest = cell_hash(
-            policy=policy,
-            capacity=capacity,
-            trace_fingerprint=trace.fingerprint(),
-            fast=fast,
-            policy_kwargs=policy_kwargs,
+        (result,) = self.simulate_many(
+            [(policy, capacity, policy_kwargs)], trace, fast=fast
         )
-        stored = self.store.get(digest)
-        if stored is not None:
-            self.hits += 1
-            return result_from_fields(stored)
-        from repro.core.engine import simulate
-        from repro.policies import make_policy
-
-        instance = make_policy(policy, capacity, trace.mapping, **policy_kwargs)
-        result = simulate(instance, trace, fast=fast)
-        self.store.put(digest, result_fields(result))
-        self.journal.append(
-            "done", hash=digest, attempt=1, memo=False, source="cache"
-        )
-        self.computed += 1
         return result
 
     def simulate_many(
@@ -99,66 +82,57 @@ class CampaignCache:
         trace: Trace,
         fast: bool = True,
     ) -> list:
-        """Memoized batch of :meth:`simulate` cells over one trace.
+        """Memoized batch of simulations over one trace.
 
-        ``cells`` is a sequence of ``(policy, capacity)`` or
-        ``(policy, capacity, policy_kwargs)``.  Each cell keeps its own
-        content address (the same ``cell_hash`` :meth:`simulate` uses,
-        so previously stored cells are served unchanged and cells
-        computed here are visible to later per-cell calls); the cells
-        the store cannot answer are computed in one
-        :func:`repro.core.fast.multi_policy_replay` traversal when
-        every missing cell has a kernel, and per-cell otherwise.
-        Returns results in input order.
+        ``cells`` takes every shape
+        :func:`repro.core.fast.multi_policy_replay` takes:
+        ``(policy, capacity)``, ``(policy, capacity, policy_kwargs)``,
+        or a dict with ``policy``/``capacity`` keys (extra keys are
+        policy kwargs); anything else raises
+        :class:`~repro.errors.ConfigurationError`.  Each cell keeps its
+        own content address, so stored cells are served unchanged and
+        cells computed here are visible to later calls.  The cells the
+        store cannot answer are computed once each — a repeated cell
+        is served from its first occurrence and counts as a hit — in
+        one multi-policy traversal when every one has a kernel, and
+        per-cell otherwise.  Returns results in input order.
         """
-        from repro.core.fast import multi_policy_replay, multi_policy_supported
+        from repro.core.fast import _normalize_cells
 
-        norm = []
-        for cell in cells:
-            parts = tuple(cell)
-            name, capacity = parts[0], parts[1]
-            kwargs = dict(parts[2]) if len(parts) == 3 and parts[2] else {}
-            norm.append((name, capacity, kwargs))
-        results: list = [None] * len(norm)
-        digests = []
-        for i, (name, capacity, kwargs) in enumerate(norm):
-            digest = cell_hash(
+        norm = _normalize_cells(cells)
+        fingerprint = trace.fingerprint()
+        digests = [
+            cell_hash(
                 policy=name,
                 capacity=capacity,
-                trace_fingerprint=trace.fingerprint(),
+                trace_fingerprint=fingerprint,
                 fast=fast,
                 policy_kwargs=kwargs,
             )
-            digests.append(digest)
-            stored = self.store.get(digest)
-            if stored is not None:
-                self.hits += 1
-                results[i] = result_from_fields(stored)
-        missing = [i for i in range(len(norm)) if results[i] is None]
-        if not missing:
-            return results
-        batch_cells = [norm[i] for i in missing]
-        if fast and multi_policy_supported(batch_cells, trace):
-            computed = multi_policy_replay(batch_cells, trace)
-        else:
-            from repro.core.engine import simulate
-            from repro.policies import make_policy
-
-            computed = [
-                simulate(
-                    make_policy(name, capacity, trace.mapping, **kwargs),
-                    trace,
-                    fast=fast,
+            for name, capacity, kwargs in norm
+        ]
+        results: list = [None] * len(norm)
+        first: Dict[str, int] = {}
+        for i, digest in enumerate(digests):
+            if digest not in first:
+                first[digest] = i
+                stored = self.store.get(digest)
+                if stored is not None:
+                    results[i] = result_from_fields(stored)
+        missing = [i for i in first.values() if results[i] is None]
+        if missing:
+            computed = _replay([norm[i] for i in missing], trace, fast)
+            for i, result in zip(missing, computed):
+                self.store.put(digests[i], result_fields(result))
+                self.journal.append(
+                    "done", hash=digests[i], attempt=1, memo=False, source="cache"
                 )
-                for name, capacity, kwargs in batch_cells
-            ]
-        for i, result in zip(missing, computed):
-            self.store.put(digests[i], result_fields(result))
-            self.journal.append(
-                "done", hash=digests[i], attempt=1, memo=False, source="cache"
-            )
-            self.computed += 1
-            results[i] = result
+                results[i] = result
+        for i, digest in enumerate(digests):
+            if results[i] is None:  # a repeat of an earlier cell
+                results[i] = result_from_fields(result_fields(results[first[digest]]))
+        self.computed += len(missing)
+        self.hits += len(norm) - len(missing)
         return results
 
     def serve(
@@ -371,29 +345,43 @@ class CampaignCache:
         self.close()
 
 
-def cached_simulate(
-    cache: Optional["CampaignCache"],
-    policy: str,
-    capacity: int,
-    trace: Trace,
-    fast: bool = False,
-    **policy_kwargs: Any,
-) -> SimResult:
-    """``cache.simulate(...)``, or a plain uncached ``simulate`` when
-    ``cache`` is None.
+def _replay(cells: list, trace: Trace, fast: bool) -> List[SimResult]:
+    """Compute normalized cells: one
+    :func:`repro.core.fast.multi_policy_replay` traversal when ``fast``
+    and every cell has a kernel, per-cell ``simulate`` otherwise."""
+    from repro.core.fast import multi_policy_replay, multi_policy_supported
 
-    The single call-site shape the experiment drivers use: they take an
-    optional cache and route every trace-driven simulation through this,
-    so the same code path serves both ``render()`` (uncached, as before)
-    and campaign-backed resumable runs.
-    """
-    if cache is not None:
-        return cache.simulate(policy, capacity, trace, fast=fast, **policy_kwargs)
+    if fast and multi_policy_supported(cells, trace):
+        return multi_policy_replay(cells, trace)
     from repro.core.engine import simulate
     from repro.policies import make_policy
 
-    instance = make_policy(policy, capacity, trace.mapping, **policy_kwargs)
-    return simulate(instance, trace, fast=fast)
+    return [
+        simulate(make_policy(name, capacity, trace.mapping, **kwargs), trace, fast=fast)
+        for name, capacity, kwargs in cells
+    ]
+
+
+def cached_simulate(
+    cache: Optional["CampaignCache"],
+    cells: Any,
+    trace: Trace,
+    fast: bool = True,
+) -> List[SimResult]:
+    """``cache.simulate_many(...)``, or the same replay uncached when
+    ``cache`` is None.
+
+    The single call-site shape the experiment drivers use: they take an
+    optional cache and route each trace's cells through this in one
+    call, so the same code path serves both ``render()`` (uncached) and
+    campaign-backed resumable runs, and either way a trace's cells
+    share one traversal.
+    """
+    if cache is not None:
+        return cache.simulate_many(cells, trace, fast=fast)
+    from repro.core.fast import _normalize_cells
+
+    return _replay(_normalize_cells(cells), trace, fast)
 
 
 def cached_serve(

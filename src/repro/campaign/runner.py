@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.sweep import default_workers
 from repro.campaign.journal import Journal
-from repro.campaign.spec import CampaignSpec, CellSpec, cell_hash
+from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.campaign.store import ResultStore
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
@@ -482,17 +482,8 @@ class CampaignRunner:
                     self._trace_payloads[key] = published.handle
         outcomes: List[CellOutcome] = []
         todo: List[_CellState] = []
-        for index, cell in enumerate(self.spec.cells):
-            digest = cell_hash(
-                policy=cell.policy,
-                capacity=cell.capacity,
-                trace_fingerprint=fingerprints[cell.trace],
-                fast=cell.fast,
-                policy_kwargs=cell.policy_kwargs,
-                version=self.spec.version,
-                serving=cell.serving,
-                cluster=cell.cluster,
-            )
+        digests = self.spec.digests(fingerprints)
+        for index, (cell, digest) in enumerate(zip(self.spec.cells, digests)):
             stored = self.store.get(digest)
             if stored is not None:
                 outcomes.append(

@@ -365,6 +365,27 @@ class CampaignSpec:
         ]
         return cls(name=name, traces=dict(traces), cells=cells)
 
+    def digests(self, fingerprints: Mapping[str, str]) -> List[str]:
+        """Every cell's content address, in cell order.
+
+        ``fingerprints`` maps each trace key to its materialized
+        trace's fingerprint; cells hash under the campaign's *pinned*
+        version, so a resumed campaign addresses the rows it wrote.
+        """
+        return [
+            cell_hash(
+                policy=cell.policy,
+                capacity=cell.capacity,
+                trace_fingerprint=fingerprints[cell.trace],
+                fast=cell.fast,
+                policy_kwargs=cell.policy_kwargs,
+                version=self.version,
+                serving=cell.serving,
+                cluster=cell.cluster,
+            )
+            for cell in self.cells
+        ]
+
     # -- serialization -----------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
         return {

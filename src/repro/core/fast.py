@@ -61,7 +61,8 @@ Each kernel is a *stepper factory* ``f(compiled, policy, record) ->
 (run, finish)``: all replay state lives in the factory's closure,
 ``run(items, blocks, dense)`` advances the policy over one contiguous
 chunk of accesses (the full trace is just one big chunk), and
-``finish()`` returns the final counters.  :func:`fast_simulate` calls
+``finish()`` returns the final counters.  Both replay entry points
+drive kernels through one stepper loop: :func:`fast_simulate` calls
 ``run`` once over the whole compiled trace — the loop body is
 identical to a monolithic kernel, so single-policy replay pays nothing
 for the factoring — while :func:`multi_policy_replay` interleaves many
@@ -117,6 +118,13 @@ __all__ = [
 #: :class:`~repro.types.HitKind` used by kernels and the conformance
 #: harness; see :data:`repro.core.conformance.KIND_CODE`).
 KIND_MISS, KIND_TEMPORAL, KIND_SPATIAL = 0, 1, 2
+
+#: Accesses per traversal slice — the lockstep window of
+#: :func:`multi_policy_replay` and the materialization window of an
+#: mmap-backed trace.  Small enough that one slice's items/blocks/dense
+#: lists stay cache-warm while every kernel sweeps them, large enough
+#: that the per-slice Python overhead vanishes.
+MULTI_POLICY_CHUNK = 65536
 
 
 class CompiledTrace:
@@ -215,11 +223,6 @@ class MmapCompiledTrace(CompiledTrace):
 
     __slots__ = ()
 
-    #: Accesses per traversal window (shared with MULTI_POLICY_CHUNK's
-    #: rationale: large enough to amortize slice overhead, small enough
-    #: to stay cache- and memory-friendly).
-    DEFAULT_CHUNK = 65536
-
     def __init__(self, trace: Trace) -> None:  # trace: rtc.MmapTrace
         rtc = trace._rtc  # type: ignore[attr-defined]
         self.n = int(rtc.n)
@@ -239,7 +242,7 @@ class MmapCompiledTrace(CompiledTrace):
     def iter_chunks(
         self, chunk: Optional[int] = None
     ) -> Iterator[Tuple[List[int], List[int], List[int]]]:
-        step = chunk or self.DEFAULT_CHUNK
+        step = chunk or MULTI_POLICY_CHUNK
         for lo in range(0, self.n, step):
             hi = lo + step
             yield (
@@ -1487,33 +1490,53 @@ def fast_simulate(policy, trace: Trace, record: _Record = None) -> Optional[SimR
     referee's ``on_access`` observations.  The policy object is never
     mutated.
     """
-    make = _DISPATCH.get(type(policy))
-    if make is None:
+    if fast_fallback_reason(policy, trace) is not None:
         return None
-    if not _mappings_equivalent(policy, trace):
-        return None
-    if policy.resident_items():
-        return None  # warm policy: replay state only the referee tracks
-    with spans.span(
-        "fast.replay",
-        policy=getattr(policy, "name", type(policy).__name__),
-        capacity=policy.capacity,
-    ) as sp:
+    name = getattr(policy, "name", type(policy).__name__)
+    with spans.span("fast.replay", policy=name, capacity=policy.capacity) as sp:
         compiled = compile_trace(trace)
         if sp is not None:
             sp.set("accesses", compiled.n)
-        run, finish = make(compiled, policy, record)
-        for items_c, blocks_c, dense_c in compiled.iter_chunks():
+        (counts,) = _replay_steppers(compiled, [(policy, record)], None)
+    return _batch_result(name, policy.capacity, trace, compiled.n, *counts)
+
+
+def _replay_steppers(
+    compiled: CompiledTrace, kernels: List[Tuple[object, _Record]], chunk: Optional[int]
+) -> List[_Counts]:
+    """Advance one kernel stepper per ``(policy, record)`` in lockstep.
+
+    The single stepper loop behind both replay entry points: every
+    kernel sees each ``chunk``-sized slice of ``compiled`` before the
+    next slice is produced (``None`` hands an in-memory trace over in
+    one slice).  Returns each kernel's final counters, in order.
+    """
+    steppers = [
+        _DISPATCH[type(policy)](compiled, policy, rec) for policy, rec in kernels
+    ]
+    for items_c, blocks_c, dense_c in compiled.iter_chunks(chunk):
+        for run, _finish in steppers:
             run(items_c, blocks_c, dense_c)
-        misses, temporal, spatial, loaded, evicted = finish()
-    result = SimResult(
-        policy=getattr(policy, "name", type(policy).__name__),
-        capacity=policy.capacity,
-    )
+    return [finish() for _run, finish in steppers]
+
+
+def _batch_result(
+    policy_name: str,
+    capacity: int,
+    trace: Trace,
+    accesses: int,
+    misses: int,
+    temporal: int,
+    spatial: int,
+    loaded: int,
+    evicted: int,
+) -> SimResult:
+    """Assemble one kernel or Mattson replay's :class:`SimResult`."""
+    result = SimResult(policy=policy_name, capacity=capacity)
     result.metadata.update(
         {k: v for k, v in trace.metadata.items() if isinstance(v, (str, int, float))}
     )
-    result.accesses = compiled.n
+    result.accesses = accesses
     result.misses = misses
     result.temporal_hits = temporal
     result.spatial_hits = spatial
@@ -1704,31 +1727,6 @@ def multi_capacity_supported(
     return True
 
 
-def _batch_result(
-    policy_name: str,
-    capacity: int,
-    trace: Trace,
-    accesses: int,
-    misses: int,
-    temporal: int,
-    spatial: int,
-    loaded: int,
-    evicted: int,
-) -> SimResult:
-    """Assemble one batched result exactly as :func:`fast_simulate`."""
-    result = SimResult(policy=policy_name, capacity=capacity)
-    result.metadata.update(
-        {k: v for k, v in trace.metadata.items() if isinstance(v, (str, int, float))}
-    )
-    result.accesses = accesses
-    result.misses = misses
-    result.temporal_hits = temporal
-    result.spatial_hits = spatial
-    result.loaded_items = loaded
-    result.evicted_items = evicted
-    return result
-
-
 def _multi_capacity_item_lru(
     trace: Trace, caps: List[int], record: Optional[Dict[int, List[int]]]
 ) -> Dict[int, SimResult]:
@@ -1866,12 +1864,6 @@ def multi_capacity_replay(
 
 # -- single-pass multi-policy replay -----------------------------------------
 
-#: Accesses advanced per kernel per slice in :func:`multi_policy_replay`
-#: — small enough that one slice's items/blocks/dense lists stay
-#: cache-warm while every kernel sweeps them, large enough that the
-#: per-slice Python overhead vanishes.
-MULTI_POLICY_CHUNK = 65536
-
 #: A cell is ``(policy_name, capacity)`` or
 #: ``(policy_name, capacity, policy_kwargs)``.
 _Cell = Tuple[str, int, Dict[str, object]]
@@ -1956,14 +1948,16 @@ def multi_policy_replay(
     fixtures).  Policy replicas are built from ``trace.mapping``, so
     every kernel applies by construction.
 
-    The trace is compiled once; kwarg-free ``item-lru``/``block-lru``
-    groups of two or more cells collapse into one Mattson pass
-    (:func:`multi_capacity_replay`) when eligible, and every remaining
-    cell becomes a kernel stepper.  The steppers then advance in
-    lockstep over ``chunk``-sized slices of the compiled arrays — the
-    decode, block-mapping, and load-set tables are shared and each
-    slice stays cache-warm across all kernels, which is what makes a
-    20-policy matrix cost one traversal instead of twenty.
+    Kwarg-free ``item-lru``/``block-lru`` groups of two or more cells
+    collapse into one Mattson pass (:func:`multi_capacity_replay`) when
+    eligible, and every remaining cell becomes a kernel stepper.  Only
+    then is the trace compiled (once, and not at all when Mattson took
+    every cell).  The steppers advance in lockstep over ``chunk``-sized
+    slices of the compiled arrays — the decode, block-mapping, and
+    load-set tables are shared and each slice stays cache-warm across
+    all kernels, which is what makes a 20-policy matrix cost one
+    traversal instead of twenty.  A lone stepper takes the trace in one
+    slice, exactly as :func:`fast_simulate` does.
 
     ``record``, if given, is filled with ``cell index -> per-access
     outcome codes`` for the conformance harness.  Randomized policies
@@ -1987,9 +1981,8 @@ def multi_policy_replay(
         )
     results: List[Optional[SimResult]] = [None] * len(norm)
     with spans.span("fast.multi_policy", cells=len(norm)) as sp:
-        compiled = compile_trace(trace)
         if sp is not None:
-            sp.set("accesses", compiled.n)
+            sp.set("accesses", len(trace))
         # Kwarg-free stack-policy groups of >= 2 cells share one
         # Mattson pass (a single cell is cheaper on its stepper).
         groups: Dict[str, List[int]] = {}
@@ -2017,31 +2010,22 @@ def multi_policy_replay(
         remaining = [i for i in range(len(norm)) if results[i] is None]
         if sp is not None:
             sp.set("mattson_cells", len(norm) - len(remaining))
-        # Every remaining cell becomes a stepper over the shared arrays.
-        steppers = []
-        for i in remaining:
-            name, cap, kwargs = norm[i]
-            policy = make_policy(name, cap, trace.mapping, **kwargs)
-            cell_rec: _Record = [] if record is not None else None
-            if cell_rec is not None:
-                record[i] = cell_rec
-            run, finish = _DISPATCH[type(policy)](compiled, policy, cell_rec)
-            steppers.append((i, run, finish))
-        if steppers:
-            for ic, bc, dc in compiled.iter_chunks(chunk):
-                for _i, run, _f in steppers:
-                    run(ic, bc, dc)
-        for i, _run, finish in steppers:
-            misses, temporal, spatial, loaded, evicted = finish()
-            results[i] = _batch_result(
-                norm[i][0],
-                norm[i][1],
-                trace,
-                accesses=compiled.n,
-                misses=misses,
-                temporal=temporal,
-                spatial=spatial,
-                loaded=loaded,
-                evicted=evicted,
+        if remaining:
+            # Every remaining cell becomes a stepper over the shared arrays.
+            kernels: List[Tuple[object, _Record]] = []
+            for i in remaining:
+                name, cap, kwargs = norm[i]
+                cell_rec: _Record = [] if record is not None else None
+                if cell_rec is not None:
+                    record[i] = cell_rec
+                policy = make_policy(name, cap, trace.mapping, **kwargs)
+                kernels.append((policy, cell_rec))
+            compiled = compile_trace(trace)
+            counts = _replay_steppers(
+                compiled, kernels, chunk if len(kernels) > 1 else None
             )
+            for i, cell_counts in zip(remaining, counts):
+                results[i] = _batch_result(
+                    norm[i][0], norm[i][1], trace, compiled.n, *cell_counts
+                )
     return results  # type: ignore[return-value]

@@ -122,9 +122,10 @@ def layer_order(
         mapping,
         {"generator": "layer_order_pollution"},
     )
+    names = ("iblp", "iblp-blockfirst")
+    results = cached_simulate(cache, [(name, k) for name in names], trace)
     rows = []
-    for name in ("iblp", "iblp-blockfirst"):
-        res = cached_simulate(cache, name, k, trace, fast=True)
+    for name, res in zip(names, results):
         rows.append(
             {
                 "study": "layer_order",
@@ -188,13 +189,9 @@ def eviction_granularity(
     mapping = FixedBlockMapping(universe=n_hot * B, block_size=B)
     items = (rng.integers(0, n_hot, length) * B).astype(np.int64)
     trace = Trace(items, mapping, {"generator": "one_hot_per_block"})
+    cells = [("block-lru", k, {}), ("athreshold-lru", k, {"a": 1}), ("iblp", k, {})]
     rows = []
-    for name, kwargs in (
-        ("block-lru", {}),
-        ("athreshold-lru", {"a": 1}),
-        ("iblp", {}),
-    ):
-        res = cached_simulate(cache, name, k, trace, fast=True, **kwargs)
+    for (name, _k, kwargs), res in zip(cells, cached_simulate(cache, cells, trace)):
         rows.append(
             {
                 "study": "eviction_granularity",
@@ -268,9 +265,10 @@ def gcm_variants(
         hot_fraction=0.5,
         seed=seed,
     )
+    names = ("gcm", "gcm-markall", "marking-lru")
+    results = cached_simulate(cache, [(name, k) for name in names], trace)
     rows = []
-    for name in ("gcm", "gcm-markall", "marking-lru"):
-        res = cached_simulate(cache, name, k, trace, fast=True)
+    for name, res in zip(names, results):
         rows.append(
             {
                 "study": "gcm_variants",
@@ -319,9 +317,8 @@ def policy_matrix(
     item/block baselines; this study runs *all* of them (the 20-cell
     :func:`matrix_cells` grid) over one :func:`hot_and_stream` trace.
     Every cell has a fast kernel, so the whole matrix advances in a
-    single shared traversal — via :meth:`CampaignCache.simulate_many`
-    when a cache is given (each cell memoized under its own content
-    address) and :func:`repro.core.fast.multi_policy_replay` otherwise.
+    single shared traversal (with a cache, each cell is memoized under
+    its own content address).
     """
     trace = hot_and_stream(
         length=length,
@@ -332,12 +329,7 @@ def policy_matrix(
         seed=seed,
     )
     cells = matrix_cells(k=k)
-    if cache is not None:
-        results = cache.simulate_many(cells, trace, fast=True)
-    else:
-        from repro.core.fast import multi_policy_replay
-
-        results = multi_policy_replay(cells, trace)
+    results = cached_simulate(cache, cells, trace)
     rows = []
     for cell, res in zip(cells, results):
         name = cell[0]

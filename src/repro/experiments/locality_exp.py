@@ -92,7 +92,7 @@ def run(
         )
         profile = profile_trace(trace)
         emp = profile.to_bounds()
-        res = cached_simulate(cache, "iblp", k, trace, fast=True)
+        (res,) = cached_simulate(cache, [("iblp", k)], trace)
         row = {
             "regime": label,
             "gamma": gamma,

@@ -121,10 +121,9 @@ def empirical_flip(
     }
     rows: List[Dict[str, float]] = []
     for wname, trace in traces.items():
-        for sname, i in splits.items():
-            res = cached_simulate(
-                cache, "iblp", k, trace, fast=True, item_layer_size=i
-            )
+        cells = [("iblp", k, {"item_layer_size": i}) for i in splits.values()]
+        results = cached_simulate(cache, cells, trace)
+        for (sname, i), res in zip(splits.items(), results):
             rows.append(
                 {
                     "workload": wname,

@@ -37,7 +37,7 @@ Instrumented out of the box: the campaign executor (campaign / plan /
 execute / cell / store.put), ``execute_cell`` workers (cell →
 compile / arena.attach / replay children), the fast kernels
 (compile memo hit/miss, Mattson pass, multi-capacity replay), and
-``sweep()``'s batch collapse.  Export a recorded file to Chrome
+``sweep()``'s per-trace collapse.  Export a recorded file to Chrome
 trace-event JSON with ``gc-caching obs trace-export spans.jsonl`` and
 open it in Perfetto (see :mod:`repro.obs.trace_export`).
 """

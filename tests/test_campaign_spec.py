@@ -88,6 +88,54 @@ class TestCellHash:
         )
 
 
+class TestCampaignSpecDigests:
+    def test_digests_equal_per_cell_hash(self):
+        """Offline, serving, and cluster cells address exactly as the
+        eight-argument ``cell_hash`` call, under the pinned version."""
+        serving = {"arrivals": {"rate": 0.02}, "seed": 3}
+        cluster = {"n_shards": 4, "scheme": "block"}
+        spec = CampaignSpec(
+            name="digests",
+            traces={"a": TraceSpec(), "b": TraceSpec(name="zipf")},
+            cells=[
+                CellSpec(policy="iblp", capacity=64, trace="a"),
+                CellSpec(
+                    policy="gcm",
+                    capacity=32,
+                    trace="b",
+                    fast=False,
+                    policy_kwargs={"seed": 7},
+                    serving=serving,
+                ),
+                CellSpec(policy="item-lru", capacity=16, trace="a", cluster=cluster),
+                CellSpec(
+                    policy="iblp",
+                    capacity=16,
+                    trace="b",
+                    serving=serving,
+                    cluster=cluster,
+                ),
+            ],
+            version="0.0.1-pinned",
+        )
+        fingerprints = {"a": "a" * 64, "b": "b" * 64}
+        want = [
+            cell_hash(
+                policy=cell.policy,
+                capacity=cell.capacity,
+                trace_fingerprint=fingerprints[cell.trace],
+                fast=cell.fast,
+                policy_kwargs=cell.policy_kwargs,
+                version="0.0.1-pinned",
+                serving=cell.serving,
+                cluster=cell.cluster,
+            )
+            for cell in spec.cells
+        ]
+        assert spec.digests(fingerprints) == want
+        assert len(set(want)) == len(want)
+
+
 class TestCampaignSpec:
     def _spec(self):
         return CampaignSpec.from_grid(

@@ -7,13 +7,15 @@ Two layers of guarantees:
   outcome streams, across randomized geometries (the conformance suite
   and goldens pin this too; here we add randomized trials plus the
   support-predicate edge cases).
-* **Sweep collapse** — ``sweep(batch="auto")`` must produce rows
-  byte-for-byte equal to per-cell replay, collapse only when it is
-  provably safe (pure capacity axis, stack policy, fast path, no
-  timing), and fall back silently everywhere else.
+* **Sweep collapse** — ``sweep`` must produce rows byte-for-byte
+  equal to per-cell replay, Mattson-collapse only when it is provably
+  safe (pure capacity axis, stack policy, fast path, no timing), and
+  fall back silently everywhere else.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -170,6 +172,11 @@ def test_replay_raises_where_supported_says_no():
 # -- sweep collapse ----------------------------------------------------------
 
 
+def _per_cell_rows(cells):
+    """Reference rows: each cell replayed alone through the worker."""
+    return [{**cell, **simulate_cell(**cell)} for cell in cells]
+
+
 def _rows_without_trace(rows, trace):
     out = []
     for row in rows:
@@ -195,8 +202,8 @@ def test_collapsed_sweep_rows_equal_per_cell_rows(sweep_trace):
         capacity=[8, 16, 32, 64],
         trace=[sweep_trace],
     )
-    per_cell = sweep(simulate_cell, cells, batch="never")
-    collapsed = sweep(simulate_cell, cells, batch="auto")
+    per_cell = _per_cell_rows(cells)
+    collapsed = sweep(simulate_cell, cells)
     assert _rows_without_trace(collapsed, sweep_trace) == _rows_without_trace(
         per_cell, sweep_trace
     )
@@ -209,7 +216,7 @@ def test_parallel_collapsed_sweep_matches_serial_referee(sweep_trace):
         trace=[sweep_trace],
         fast=[False],
     )
-    referee = sweep(simulate_cell, cells, batch="never")
+    referee = sweep(simulate_cell, cells)
     fast_cells = grid(
         policy=["item-lru", "block-lru"],
         capacity=[8, 32, 128],
@@ -253,8 +260,8 @@ def test_collapse_requires_pure_capacity_axis(sweep_trace, monkeypatch):
     sweep(simulate_cell, kwarg_cells)
     assert calls == []
 
-    # fast=False, timing=True, batch="never", single-capacity groups,
-    # and foreign worker fns must all fall back too.
+    # fast=False, timing=True, single-capacity groups, and foreign
+    # worker fns must all fall back too.
     sweep(
         simulate_cell,
         grid(policy=["item-lru"], capacity=[8, 16], trace=[sweep_trace],
@@ -266,9 +273,8 @@ def test_collapse_requires_pure_capacity_axis(sweep_trace, monkeypatch):
         timing=True,
     )
     sweep(
-        simulate_cell,
+        functools.partial(simulate_cell),
         grid(policy=["item-lru"], capacity=[8, 16], trace=[sweep_trace]),
-        batch="never",
     )
     sweep(
         simulate_cell,
@@ -293,9 +299,9 @@ def test_mixed_policy_grid_collapses_only_stack_policies(sweep_trace, monkeypatc
         capacity=[8, 16, 32],
         trace=[sweep_trace],
     )
-    rows = sweep(simulate_cell, cells, batch="auto")
+    rows = sweep(simulate_cell, cells)
     assert sorted(calls) == ["block-lru", "item-lru"]
-    per_cell = sweep(simulate_cell, cells, batch="never")
+    per_cell = _per_cell_rows(cells)
     assert _rows_without_trace(rows, sweep_trace) == _rows_without_trace(
         per_cell, sweep_trace
     )
@@ -303,8 +309,6 @@ def test_mixed_policy_grid_collapses_only_stack_policies(sweep_trace, monkeypatc
 
 def test_sweep_rejects_bad_knobs(sweep_trace):
     cells = grid(policy=["item-lru"], capacity=[8], trace=[sweep_trace])
-    with pytest.raises(ConfigurationError, match="batch"):
-        sweep(simulate_cell, cells, batch="sometimes")
     with pytest.raises(ConfigurationError, match="chunksize"):
         sweep(simulate_cell, cells, chunksize=0)
 

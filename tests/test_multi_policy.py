@@ -166,7 +166,7 @@ def test_sweep_policy_collapse_rows_are_bit_identical(trace):
         trace=[trace],
     )
     auto = sweep(simulate_cell, cells)
-    never = sweep(simulate_cell, cells, batch="never")
+    never = [{**cell, **simulate_cell(**cell)} for cell in cells]
     assert len(auto) == len(never) == len(cells)
     for a, n in zip(auto, never):
         for key in ("policy", "capacity", "misses", "temporal_hits",
@@ -175,8 +175,8 @@ def test_sweep_policy_collapse_rows_are_bit_identical(trace):
 
 
 def test_sweep_collapses_policy_axis_into_one_traversal(trace, monkeypatch):
-    """batch="auto" routes eligible cells through multi_policy_replay
-    (one call per trace group) and never calls the per-cell worker."""
+    """sweep routes eligible cells through multi_policy_replay (one
+    call per trace group) and never calls the per-cell worker."""
     import sys
 
     from repro.analysis.sweep import grid, simulate_cell, sweep
@@ -205,6 +205,35 @@ def test_sweep_collapses_policy_axis_into_one_traversal(trace, monkeypatch):
     rows = sweep(simulate_cell, cells)
     assert len(calls) == 1 and len(calls[0]) == 6
     assert [r["policy"] for r in rows] == [c["policy"] for c in cells]
+
+
+def test_all_mattson_sweep_never_compiles(trace, spatial_trace, monkeypatch):
+    """An Item-LRU/Block-LRU-only grid is one multi_policy_replay call
+    per trace, answered entirely by the Mattson pass: no compile."""
+    from repro.analysis.sweep import grid, simulate_cell, sweep
+    from repro.core import fast
+
+    calls = []
+    real = fast.multi_policy_replay
+
+    def spy(cells, t, record=None, chunk=fast.MULTI_POLICY_CHUNK):
+        calls.append(t)
+        return real(cells, t, record=record, chunk=chunk)
+
+    def no_compile(t):  # pragma: no cover - must never run
+        raise AssertionError("compile_trace ran for an all-Mattson sweep")
+
+    monkeypatch.setattr(fast, "multi_policy_replay", spy)
+    monkeypatch.setattr(fast, "compile_trace", no_compile)
+    cells = grid(
+        policy=["item-lru", "block-lru"],
+        capacity=[8, 16, 32],
+        trace=[trace, spatial_trace],
+    )
+    rows = sweep(simulate_cell, cells)
+    assert calls == [trace, spatial_trace]
+    monkeypatch.undo()
+    assert rows == [{**cell, **simulate_cell(**cell)} for cell in cells]
 
 
 def test_sweep_leaves_ineligible_cells_to_per_cell_replay(trace, monkeypatch):
@@ -258,6 +287,41 @@ def test_campaign_simulate_many_memoizes_per_cell(trace, tmp_path):
             make_policy(cell[0], cell[1], trace.mapping, **kwargs), trace
         )
         assert got == want, cell
+
+
+def test_campaign_simulate_many_parses_cells_like_multi_policy_replay(
+    trace, tmp_path
+):
+    from repro.campaign.integrate import CampaignCache
+
+    with CampaignCache(tmp_path) as cache:
+        with pytest.raises(ConfigurationError):
+            cache.simulate_many([("item-lru",)], trace)
+        with pytest.raises(ConfigurationError):
+            cache.simulate_many([{"policy": "item-lru"}], trace)
+        got = cache.simulate_many(
+            [{"policy": "gcm", "capacity": 8, "seed": 5}], trace
+        )
+        # A dict cell shares its address with the tuple form.
+        assert cache.simulate("gcm", 8, trace, fast=True, seed=5) == got[0]
+        assert cache.computed == 1 and cache.hits == 1
+    assert got[0] == simulate(make_policy("gcm", 8, trace.mapping, seed=5), trace)
+
+
+def test_campaign_simulate_many_computes_repeated_cells_once(trace, tmp_path):
+    from repro.campaign.integrate import CampaignCache
+    from repro.campaign.journal import Journal
+
+    cells = [("gcm", 8), ("item-lru", 8), ("gcm", 8)]
+    with CampaignCache(tmp_path) as cache:
+        results = cache.simulate_many(cells, trace)
+        assert cache.computed == 2 and cache.hits == 1
+        assert len(cache.store) == 2
+    assert results[0] == results[2] and results[0] is not results[2]
+    journal = Journal(tmp_path)
+    done = [e for e in journal.events() if e["event"] == "done"]
+    journal.close()
+    assert len(done) == 2
 
 
 def test_campaign_simulate_many_falls_back_per_cell(trace, tmp_path):
