@@ -8,7 +8,10 @@ validating referee engine produce the *same computation*:
   policy name, capacity, and metadata — compared field by field, and
 * the full per-access outcome stream (miss / temporal hit / spatial
   hit, one code per access, in trace order), so two runs cannot agree
-  on aggregates while disagreeing on individual accesses.
+  on aggregates while disagreeing on individual accesses, and
+* the per-miss load-set sizes (``mode="loads"`` rows: the kernel's
+  ``loads`` list against the referee's ``len(outcome.loaded)``, miss
+  for miss), which is what serving prices each miss with.
 
 The referee side runs with full validation *and* periodic residency
 cross-checks, so a conformance pass simultaneously certifies the
@@ -49,6 +52,8 @@ __all__ = [
     "fast_outcomes",
     "check_conformance",
     "assert_conformant",
+    "check_loads",
+    "assert_loads_conformant",
     "check_multi_capacity",
     "assert_multi_capacity_conformant",
     "check_multi_policy",
@@ -81,24 +86,48 @@ RESULT_FIELDS: Tuple[str, ...] = (
 
 
 def referee_outcomes(
-    policy, trace: Trace, cross_check_every: int = 16
+    policy,
+    trace: Trace,
+    cross_check_every: int = 16,
+    loads: Optional[List[int]] = None,
 ) -> Tuple[SimResult, List[int]]:
-    """Validated referee replay; returns (result, per-access codes)."""
+    """Validated referee replay; returns (result, per-access codes).
+
+    ``loads``, if given, receives ``len(outcome.loaded)`` for every
+    miss, in trace order — read off the policy's own outcomes as the
+    referee consumes them, so the replay is still plain ``simulate()``.
+    """
     codes: List[int] = []
-    result = simulate(
-        policy,
-        trace,
-        validate=True,
-        cross_check_every=cross_check_every,
-        on_access=lambda pos, item, kind: codes.append(KIND_CODE[kind]),
-    )
+    if loads is not None:
+        inner = policy.access
+
+        def access(item):
+            outcome = inner(item)
+            if not outcome.hit:
+                loads.append(len(outcome.loaded))
+            return outcome
+
+        policy.access = access
+    try:
+        result = simulate(
+            policy,
+            trace,
+            validate=True,
+            cross_check_every=cross_check_every,
+            on_access=lambda pos, item, kind: codes.append(KIND_CODE[kind]),
+        )
+    finally:
+        if loads is not None:
+            del policy.access
     return result, codes
 
 
-def fast_outcomes(policy, trace: Trace) -> Tuple[Optional[SimResult], List[int]]:
+def fast_outcomes(
+    policy, trace: Trace, loads: Optional[List[int]] = None
+) -> Tuple[Optional[SimResult], List[int]]:
     """Kernel replay; ``(None, [])`` when no kernel applies."""
     codes: List[int] = []
-    result = fast_simulate(policy, trace, record=codes)
+    result = fast_simulate(policy, trace, record=codes, loads=loads)
     return result, codes
 
 
@@ -141,6 +170,70 @@ def _diff_streams(ref: Sequence[int], fast: Sequence[int]) -> List[str]:
     return out
 
 
+def _diff_loads(
+    ref: Sequence[int], fast: Sequence[int], loaded_items: int
+) -> List[str]:
+    out = []
+    if len(ref) != len(fast):
+        out.append(f"loads stream length: referee={len(ref)} fast={len(fast)}")
+    for miss, (r, f) in enumerate(zip(ref, fast)):
+        if r != f:
+            out.append(f"load-set size at miss {miss}: referee={r} fast={f}")
+            if len(out) >= 5:
+                out.append("... further load divergences suppressed")
+                break
+    if sum(fast) != loaded_items:
+        out.append(f"sum(loads)={sum(fast)} != loaded_items={loaded_items}")
+    return out
+
+
+def _check_cell(
+    name: str,
+    capacity: int,
+    trace: Trace,
+    cross_check_every: int,
+    policy_kwargs: Dict[str, object],
+) -> Tuple[ConformanceReport, ConformanceReport]:
+    """One referee and one kernel replay of a cell, diffed two ways.
+
+    Returns the ``mode="cell"`` report (every :data:`RESULT_FIELDS`
+    member plus the outcome stream) and the ``mode="loads"`` report
+    (the per-miss load-set sizes), so the suite pays for each referee
+    replay once.
+    """
+    ref_policy = make_policy(name, capacity, trace.mapping, **policy_kwargs)
+    fast_policy = make_policy(name, capacity, trace.mapping, **policy_kwargs)
+    ref_loads: List[int] = []
+    ref_result, ref_codes = referee_outcomes(
+        ref_policy, trace, cross_check_every=cross_check_every, loads=ref_loads
+    )
+    fast_loads: List[int] = []
+    fast_result, fast_codes = fast_outcomes(fast_policy, trace, loads=fast_loads)
+    if fast_result is None:
+        raise ConfigurationError(
+            f"policy {name!r} has no fast kernel; conformance is undefined "
+            f"(supported: {', '.join(FAST_POLICY_NAMES)})"
+        )
+    cell = ConformanceReport(
+        policy=ref_result.policy, capacity=capacity, accesses=ref_result.accesses
+    )
+    loads = ConformanceReport(
+        policy=ref_result.policy, capacity=capacity, accesses=ref_result.accesses
+    )
+    for fname in RESULT_FIELDS:
+        ref_val = getattr(ref_result, fname)
+        fast_val = getattr(fast_result, fname)
+        if ref_val != fast_val:
+            cell.mismatches.append(
+                f"SimResult.{fname}: referee={ref_val!r} fast={fast_val!r}"
+            )
+    cell.mismatches.extend(_diff_streams(ref_codes, fast_codes))
+    loads.mismatches.extend(
+        _diff_loads(ref_loads, fast_loads, fast_result.loaded_items)
+    )
+    return cell, loads
+
+
 def check_conformance(
     name: str,
     capacity: int,
@@ -156,31 +249,7 @@ def check_conformance(
     conformance check that silently tested the referee against itself
     would be vacuous.
     """
-    ref_policy = make_policy(name, capacity, trace.mapping, **policy_kwargs)
-    fast_policy = make_policy(name, capacity, trace.mapping, **policy_kwargs)
-    ref_result, ref_codes = referee_outcomes(
-        ref_policy, trace, cross_check_every=cross_check_every
-    )
-    fast_result, fast_codes = fast_outcomes(fast_policy, trace)
-    if fast_result is None:
-        raise ConfigurationError(
-            f"policy {name!r} has no fast kernel; conformance is undefined "
-            f"(supported: {', '.join(FAST_POLICY_NAMES)})"
-        )
-    report = ConformanceReport(
-        policy=ref_result.policy,
-        capacity=capacity,
-        accesses=ref_result.accesses,
-    )
-    for fname in RESULT_FIELDS:
-        ref_val = getattr(ref_result, fname)
-        fast_val = getattr(fast_result, fname)
-        if ref_val != fast_val:
-            report.mismatches.append(
-                f"SimResult.{fname}: referee={ref_val!r} fast={fast_val!r}"
-            )
-    report.mismatches.extend(_diff_streams(ref_codes, fast_codes))
-    return report
+    return _check_cell(name, capacity, trace, cross_check_every, policy_kwargs)[0]
 
 
 def assert_conformant(
@@ -188,6 +257,33 @@ def assert_conformant(
 ) -> ConformanceReport:
     """:func:`check_conformance`, raising ``AssertionError`` on divergence."""
     report = check_conformance(name, capacity, trace, **policy_kwargs)
+    assert report.ok, str(report)
+    return report
+
+
+def check_loads(
+    name: str,
+    capacity: int,
+    trace: Trace,
+    cross_check_every: int = 16,
+    **policy_kwargs,
+) -> ConformanceReport:
+    """Diff the kernel's per-miss ``loads`` against the referee's.
+
+    Each miss's effective load-set size must equal the referee's
+    ``len(outcome.loaded)`` for that miss, and the sizes must sum to
+    the kernel's ``loaded_items``.  ``trace`` may be an mmap-backed
+    ``.rtc`` trace, which exercises the chunked traversal.  Raises
+    :class:`ConfigurationError` if the policy has no fast kernel.
+    """
+    return _check_cell(name, capacity, trace, cross_check_every, policy_kwargs)[1]
+
+
+def assert_loads_conformant(
+    name: str, capacity: int, trace: Trace, **policy_kwargs
+) -> ConformanceReport:
+    """:func:`check_loads`, raising ``AssertionError`` on divergence."""
+    report = check_loads(name, capacity, trace, **policy_kwargs)
     assert report.ok, str(report)
     return report
 
@@ -330,8 +426,8 @@ def check_mmap_conformance(
     lists.  The in-memory side is already certified against the referee
     by the ``mode="cell"`` rows, so this check only has to prove the
     mmap traversal computes the *same* replay — every
-    :data:`RESULT_FIELDS` member, the fingerprint, and the full
-    per-access outcome stream.
+    :data:`RESULT_FIELDS` member, the fingerprint, the full
+    per-access outcome stream, and the per-miss ``loads``.
     """
     if trace.fingerprint() != mmap_trace.fingerprint():
         raise ConfigurationError(
@@ -344,14 +440,18 @@ def check_mmap_conformance(
         name, capacity, mmap_trace.mapping, **policy_kwargs
     )
     mem_codes: List[int] = []
-    mem_result = fast_simulate(mem_policy, trace, record=mem_codes)
+    mem_loads: List[int] = []
+    mem_result = fast_simulate(mem_policy, trace, record=mem_codes, loads=mem_loads)
     if mem_result is None:
         raise ConfigurationError(
             f"policy {name!r} has no fast kernel; mmap conformance is "
             f"undefined (supported: {', '.join(FAST_POLICY_NAMES)})"
         )
     mmap_codes: List[int] = []
-    mmap_result = fast_simulate(mmap_policy, mmap_trace, record=mmap_codes)
+    mmap_loads: List[int] = []
+    mmap_result = fast_simulate(
+        mmap_policy, mmap_trace, record=mmap_codes, loads=mmap_loads
+    )
     report = ConformanceReport(
         policy=mem_result.policy,
         capacity=capacity,
@@ -368,6 +468,8 @@ def check_mmap_conformance(
                 f"SimResult.{fname}: in-memory={mem_val!r} mmap={mmap_val!r}"
             )
     report.mismatches.extend(_diff_streams(mem_codes, mmap_codes))
+    if mmap_loads != mem_loads:
+        report.mismatches.append("per-miss loads differ between in-memory and mmap")
     return report
 
 
@@ -433,7 +535,10 @@ def conformance_suite(
     """Full (trace × policy × capacity) differential matrix.
 
     Returns one row per cell with an ``ok`` flag and divergence detail;
-    callers (CI, benches) assert ``all(row["ok"] ...)``.  The
+    callers (CI, benches) assert ``all(row["ok"] ...)``.  Every cell
+    yields a ``mode="cell"`` row (result fields and outcome stream) and
+    a ``mode="loads"`` row (per-miss load-set sizes, see
+    :func:`check_loads`) from the same pair of replays.  The
     a-threshold family is exercised at ``a ∈ {1, 2}`` per cell and the
     seeded GCM family at ``seed ∈ {0, 7}`` (deeper seed grids live in
     ``tests/test_gcm_determinism.py``).
@@ -464,19 +569,20 @@ def conformance_suite(
                 variants = [{}, {"seed": 7}]
             for kwargs in variants:
                 for capacity in caps:
-                    report = check_conformance(policy, capacity, trace, **kwargs)
-                    rows.append(
-                        {
-                            "trace": trace_name,
-                            "policy": policy,
-                            "mode": "cell",
-                            **{f"arg_{k}": v for k, v in kwargs.items()},
-                            "capacity": capacity,
-                            "accesses": report.accesses,
-                            "ok": report.ok,
-                            "detail": "; ".join(report.mismatches),
-                        }
-                    )
+                    reports = _check_cell(policy, capacity, trace, 16, kwargs)
+                    for mode, report in zip(("cell", "loads"), reports):
+                        rows.append(
+                            {
+                                "trace": trace_name,
+                                "policy": policy,
+                                "mode": mode,
+                                **{f"arg_{k}": v for k, v in kwargs.items()},
+                                "capacity": capacity,
+                                "accesses": report.accesses,
+                                "ok": report.ok,
+                                "detail": "; ".join(report.mismatches),
+                            }
+                        )
             if policy not in MULTI_CAPACITY_POLICIES:
                 continue
             batch_caps = caps

@@ -57,8 +57,8 @@ replica.
 
 Kernel architecture
 -------------------
-Each kernel is a *stepper factory* ``f(compiled, policy, record) ->
-(run, finish)``: all replay state lives in the factory's closure,
+Each kernel is a *stepper factory* ``f(compiled, policy, record, loads)
+-> (run, finish)``: all replay state lives in the factory's closure,
 ``run(items, blocks, dense)`` advances the policy over one contiguous
 chunk of accesses (the full trace is just one big chunk), and
 ``finish()`` returns the final counters.  Both replay entry points
@@ -313,13 +313,21 @@ _Record = Optional[List[int]]
 #: ``run(items_chunk, blocks_chunk, dense_chunk)`` advances the kernel
 #: over one contiguous slice of the compiled trace.
 _RunFn = Callable[[List[int], List[int], List[int]], None]
-#: A kernel factory: closure state + (run, finish) steppers.
-_Kernel = Callable[["CompiledTrace", "object", _Record], Tuple[_RunFn, Callable[[], _Counts]]]
+#: A kernel factory ``f(compiled, policy, record, loads)``: closure
+#: state + (run, finish) steppers.
+_Kernel = Callable[
+    ["CompiledTrace", "object", _Record, _Record],
+    Tuple[_RunFn, Callable[[], _Counts]],
+]
 
 
 # -- item-granularity kernels (no spatial hits possible) --------------------
 def _kernel_item_recency(
-    ct: CompiledTrace, capacity: int, touch_on_hit: bool, record: _Record
+    ct: CompiledTrace,
+    capacity: int,
+    touch_on_hit: bool,
+    record: _Record,
+    loads: _Record,
 ):
     """LRU (``touch_on_hit``) / FIFO item cache over dense ids.
 
@@ -371,6 +379,8 @@ def _kernel_item_recency(
                 _prv[f] = it
                 if record is not None:
                     record.append(KIND_MISS)
+                if loads is not None:
+                    loads.append(1)
         st[0], st[1], st[2], st[3] = size, misses, temporal, evicted
 
     def finish() -> _Counts:
@@ -379,7 +389,9 @@ def _kernel_item_recency(
     return run, finish
 
 
-def _kernel_item_mru(ct: CompiledTrace, capacity: int, record: _Record):
+def _kernel_item_mru(
+    ct: CompiledTrace, capacity: int, record: _Record, loads: _Record
+):
     """MRU item cache: insertion-ordered dict, victim = last key.
 
     :class:`~repro.policies.item_lru.ItemMRU` touches on hits and
@@ -407,6 +419,8 @@ def _kernel_item_mru(ct: CompiledTrace, capacity: int, record: _Record):
                 d[it] = None
                 if record is not None:
                     record.append(KIND_MISS)
+                if loads is not None:
+                    loads.append(1)
         st[0], st[1], st[2] = misses, temporal, evicted
 
     def finish() -> _Counts:
@@ -415,7 +429,9 @@ def _kernel_item_mru(ct: CompiledTrace, capacity: int, record: _Record):
     return run, finish
 
 
-def _kernel_item_clock(ct: CompiledTrace, capacity: int, record: _Record):
+def _kernel_item_clock(
+    ct: CompiledTrace, capacity: int, record: _Record, loads: _Record
+):
     """CLOCK item cache on flat ring arrays, bit-exact to
     :class:`repro.structs.clock_hand.ClockHand`.
 
@@ -448,6 +464,8 @@ def _kernel_item_clock(ct: CompiledTrace, capacity: int, record: _Record):
             misses += 1
             if record is not None:
                 record.append(KIND_MISS)
+            if loads is not None:
+                loads.append(1)
             if size >= capacity:
                 h = hand
                 if h >= capacity:
@@ -492,7 +510,9 @@ def _kernel_item_clock(ct: CompiledTrace, capacity: int, record: _Record):
     return run, finish
 
 
-def _kernel_item_lfu(ct: CompiledTrace, capacity: int, record: _Record):
+def _kernel_item_lfu(
+    ct: CompiledTrace, capacity: int, record: _Record, loads: _Record
+):
     """In-cache LFU with LRU tie-breaking via a lazy heap.
 
     The referee (:class:`~repro.policies.item_other.ItemLFU`) picks
@@ -537,6 +557,8 @@ def _kernel_item_lfu(ct: CompiledTrace, capacity: int, record: _Record):
                 push(_heap, (1, tick, it))
                 if record is not None:
                     record.append(KIND_MISS)
+                if loads is not None:
+                    loads.append(1)
         st[0], st[1], st[2], st[3] = tick, misses, temporal, evicted
 
     def finish() -> _Counts:
@@ -545,7 +567,9 @@ def _kernel_item_lfu(ct: CompiledTrace, capacity: int, record: _Record):
     return run, finish
 
 
-def _kernel_item_random(ct: CompiledTrace, capacity: int, seed: int, record: _Record):
+def _kernel_item_random(
+    ct: CompiledTrace, capacity: int, seed: int, record: _Record, loads: _Record
+):
     """Seeded random replacement, RNG-identical to
     :class:`~repro.policies.item_other.ItemRandom`.
 
@@ -582,6 +606,8 @@ def _kernel_item_random(ct: CompiledTrace, capacity: int, seed: int, record: _Re
                 _res[it] = 1
                 if record is not None:
                     record.append(KIND_MISS)
+                if loads is not None:
+                    loads.append(1)
         st[0], st[1], st[2] = misses, temporal, evicted
 
     def finish() -> _Counts:
@@ -596,6 +622,7 @@ def _kernel_item_twoq(
     probation_fraction: float,
     ghost_fraction: float,
     record: _Record,
+    loads: _Record,
 ):
     """2Q (A1in/Am/A1out) over insertion-ordered dicts, mirroring
     :class:`~repro.policies.item_twoq.ItemTwoQ` exactly: FIFO probation
@@ -648,6 +675,8 @@ def _kernel_item_twoq(
                     _a1in[it] = None
                 if record is not None:
                     record.append(KIND_MISS)
+                if loads is not None:
+                    loads.append(1)
         st[0], st[1], st[2] = misses, temporal, evicted
 
     def finish() -> _Counts:
@@ -656,7 +685,9 @@ def _kernel_item_twoq(
     return run, finish
 
 
-def _kernel_marking_lru(ct: CompiledTrace, capacity: int, record: _Record):
+def _kernel_marking_lru(
+    ct: CompiledTrace, capacity: int, record: _Record, loads: _Record
+):
     """Traditional marking (LRU victim among unmarked), loads only the
     requested item — mirrors
     :class:`~repro.policies.marking.MarkingLRU` including the phase
@@ -688,6 +719,8 @@ def _kernel_marking_lru(ct: CompiledTrace, capacity: int, record: _Record):
                 mk.add(it)
                 if record is not None:
                     record.append(KIND_MISS)
+                if loads is not None:
+                    loads.append(1)
         st[0], st[1], st[2] = misses, temporal, evicted
 
     def finish() -> _Counts:
@@ -704,6 +737,7 @@ def _kernel_gcm(
     mark_side_loads: bool,
     max_load: Optional[int],
     record: _Record,
+    loads: _Record,
 ):
     """Granularity-Change Marking family (§6.1), RNG bit-identical.
 
@@ -844,7 +878,10 @@ def _kernel_gcm(
             eff_loaded = loaded - churn
             eff_evicted = evicted - churn
             misses += 1
-            loaded_n += len(eff_loaded)
+            n_loaded = len(eff_loaded)
+            loaded_n += n_loaded
+            if loads is not None:
+                loads.append(n_loaded)
             evicted_n += len(eff_evicted)
             pend -= eff_evicted
             for member in eff_loaded:
@@ -870,7 +907,11 @@ def _kernel_gcm(
 
 
 def _kernel_block(
-    ct: CompiledTrace, capacity: int, touch_on_hit: bool, record: _Record
+    ct: CompiledTrace,
+    capacity: int,
+    touch_on_hit: bool,
+    record: _Record,
+    loads: _Record,
 ):
     """Whole-block LRU/FIFO mirroring ``_BlockPolicyBase`` + the
     referee's spatial-pending classification."""
@@ -924,7 +965,10 @@ def _kernel_block(
             eff_loaded = load_set - churn
             eff_evicted = evicted - churn
             misses += 1
-            loaded_n += len(eff_loaded)
+            n_loaded = len(eff_loaded)
+            loaded_n += n_loaded
+            if loads is not None:
+                loads.append(n_loaded)
             evicted_n += len(eff_evicted)
             pend -= eff_evicted
             for member in eff_loaded:
@@ -954,6 +998,7 @@ def _kernel_iblp(
     item_layer_size: int,
     block_first: bool,
     record: _Record,
+    loads: _Record,
 ):
     """IBLP (canonical and block-first ablation) with union refcounting.
 
@@ -1073,7 +1118,10 @@ def _kernel_iblp(
             eff_loaded = loaded - churn
             eff_evicted = evicted - churn
             misses += 1
-            loaded_n += len(eff_loaded)
+            n_loaded = len(eff_loaded)
+            loaded_n += n_loaded
+            if loads is not None:
+                loads.append(n_loaded)
             evicted_n += len(eff_evicted)
             pend -= eff_evicted
             for member in eff_loaded:
@@ -1104,6 +1152,7 @@ def _kernel_iblp_adaptive(
     ghost_factor: float,
     max_block_size: int,
     record: _Record,
+    loads: _Record,
 ):
     """Adaptive-split IBLP mirroring
     :class:`~repro.policies.adaptive_iblp.AdaptiveIBLP`: ARC-style
@@ -1275,7 +1324,10 @@ def _kernel_iblp_adaptive(
             eff_loaded = loaded - churn
             eff_evicted = evicted - churn
             misses += 1
-            loaded_n += len(eff_loaded)
+            n_loaded = len(eff_loaded)
+            loaded_n += n_loaded
+            if loads is not None:
+                loads.append(n_loaded)
             evicted_n += len(eff_evicted)
             pend -= eff_evicted
             for member in eff_loaded:
@@ -1299,7 +1351,9 @@ def _kernel_iblp_adaptive(
     return run, finish
 
 
-def _kernel_athreshold(ct: CompiledTrace, capacity: int, a: int, record: _Record):
+def _kernel_athreshold(
+    ct: CompiledTrace, capacity: int, a: int, record: _Record, loads: _Record
+):
     """LRU item eviction; whole-block load on the ``a``-th distinct miss."""
     order: Dict[int, None] = {}  # insertion order = LRU→MRU
     resident: set = set()
@@ -1365,7 +1419,10 @@ def _kernel_athreshold(ct: CompiledTrace, capacity: int, a: int, record: _Record
                 block_resident_count[wblk] = block_resident_count.get(wblk, 0) + 1
                 loaded.add(w)
             misses += 1
-            loaded_n += len(loaded)
+            n_loaded = len(loaded)
+            loaded_n += n_loaded
+            if loads is not None:
+                loads.append(n_loaded)
             evicted_n += len(evicted)
             pend -= evicted
             for member in loaded:
@@ -1391,40 +1448,55 @@ def _kernel_athreshold(ct: CompiledTrace, capacity: int, a: int, record: _Record
 
 # -- dispatch ----------------------------------------------------------------
 _DISPATCH: Dict[type, _Kernel] = {
-    ItemLRU: lambda ct, p, rec: _kernel_item_recency(ct, p.capacity, True, rec),
-    ItemFIFO: lambda ct, p, rec: _kernel_item_recency(ct, p.capacity, False, rec),
-    ItemMRU: lambda ct, p, rec: _kernel_item_mru(ct, p.capacity, rec),
-    ItemClock: lambda ct, p, rec: _kernel_item_clock(ct, p.capacity, rec),
-    ItemLFU: lambda ct, p, rec: _kernel_item_lfu(ct, p.capacity, rec),
-    ItemRandom: lambda ct, p, rec: _kernel_item_random(ct, p.capacity, p.seed, rec),
-    ItemTwoQ: lambda ct, p, rec: _kernel_item_twoq(
-        ct, p.capacity, p.probation_fraction, p.ghost_fraction, rec
+    ItemLRU: lambda ct, p, rec, lds: _kernel_item_recency(
+        ct, p.capacity, True, rec, lds
     ),
-    MarkingLRU: lambda ct, p, rec: _kernel_marking_lru(ct, p.capacity, rec),
-    GCM: lambda ct, p, rec: _kernel_gcm(ct, p.capacity, p.seed, False, None, rec),
-    MarkAllGCM: lambda ct, p, rec: _kernel_gcm(
-        ct, p.capacity, p.seed, True, None, rec
+    ItemFIFO: lambda ct, p, rec, lds: _kernel_item_recency(
+        ct, p.capacity, False, rec, lds
     ),
-    PartialGCM: lambda ct, p, rec: _kernel_gcm(
-        ct, p.capacity, p.seed, False, p.max_load, rec
+    ItemMRU: lambda ct, p, rec, lds: _kernel_item_mru(ct, p.capacity, rec, lds),
+    ItemClock: lambda ct, p, rec, lds: _kernel_item_clock(ct, p.capacity, rec, lds),
+    ItemLFU: lambda ct, p, rec, lds: _kernel_item_lfu(ct, p.capacity, rec, lds),
+    ItemRandom: lambda ct, p, rec, lds: _kernel_item_random(
+        ct, p.capacity, p.seed, rec, lds
     ),
-    BlockLRU: lambda ct, p, rec: _kernel_block(ct, p.capacity, True, rec),
-    BlockFIFO: lambda ct, p, rec: _kernel_block(ct, p.capacity, False, rec),
-    IBLP: lambda ct, p, rec: _kernel_iblp(
-        ct, p.capacity, p.item_layer_size, False, rec
+    ItemTwoQ: lambda ct, p, rec, lds: _kernel_item_twoq(
+        ct, p.capacity, p.probation_fraction, p.ghost_fraction, rec, lds
     ),
-    BlockFirstIBLP: lambda ct, p, rec: _kernel_iblp(
-        ct, p.capacity, p.item_layer_size, True, rec
+    MarkingLRU: lambda ct, p, rec, lds: _kernel_marking_lru(
+        ct, p.capacity, rec, lds
     ),
-    AdaptiveIBLP: lambda ct, p, rec: _kernel_iblp_adaptive(
+    GCM: lambda ct, p, rec, lds: _kernel_gcm(
+        ct, p.capacity, p.seed, False, None, rec, lds
+    ),
+    MarkAllGCM: lambda ct, p, rec, lds: _kernel_gcm(
+        ct, p.capacity, p.seed, True, None, rec, lds
+    ),
+    PartialGCM: lambda ct, p, rec, lds: _kernel_gcm(
+        ct, p.capacity, p.seed, False, p.max_load, rec, lds
+    ),
+    BlockLRU: lambda ct, p, rec, lds: _kernel_block(ct, p.capacity, True, rec, lds),
+    BlockFIFO: lambda ct, p, rec, lds: _kernel_block(
+        ct, p.capacity, False, rec, lds
+    ),
+    IBLP: lambda ct, p, rec, lds: _kernel_iblp(
+        ct, p.capacity, p.item_layer_size, False, rec, lds
+    ),
+    BlockFirstIBLP: lambda ct, p, rec, lds: _kernel_iblp(
+        ct, p.capacity, p.item_layer_size, True, rec, lds
+    ),
+    AdaptiveIBLP: lambda ct, p, rec, lds: _kernel_iblp_adaptive(
         ct,
         p.capacity,
         p.initial_item_fraction,
         p.ghost_factor,
         p.mapping.max_block_size,
         rec,
+        lds,
     ),
-    AThresholdLRU: lambda ct, p, rec: _kernel_athreshold(ct, p.capacity, p.a, rec),
+    AThresholdLRU: lambda ct, p, rec, lds: _kernel_athreshold(
+        ct, p.capacity, p.a, rec, lds
+    ),
 }
 
 #: Registry names with a replay kernel — every *online* registered
@@ -1478,7 +1550,9 @@ def fast_fallback_reason(policy, trace: Trace) -> Optional[str]:
     return None
 
 
-def fast_simulate(policy, trace: Trace, record: _Record = None) -> Optional[SimResult]:
+def fast_simulate(
+    policy, trace: Trace, record: _Record = None, loads: _Record = None
+) -> Optional[SimResult]:
     """Replay ``policy`` over ``trace`` with a kernel, if one applies.
 
     Returns the referee-identical :class:`SimResult`, or ``None`` when
@@ -1487,8 +1561,12 @@ def fast_simulate(policy, trace: Trace, record: _Record = None) -> Optional[SimR
     rules).  ``record``, if given, receives one
     :data:`KIND_MISS`/:data:`KIND_TEMPORAL`/:data:`KIND_SPATIAL` code
     per access — the stream the conformance harness diffs against the
-    referee's ``on_access`` observations.  The policy object is never
-    mutated.
+    referee's ``on_access`` observations.  ``loads``, if given,
+    receives one entry per *miss*, in trace order: the effective
+    load-set size (``len(outcome.loaded)`` on the referee, after
+    load/evict churn cancels), so ``sum(loads) == loaded_items``.
+    This is what the serving layer prices a miss with.  The policy
+    object is never mutated.
     """
     if fast_fallback_reason(policy, trace) is not None:
         return None
@@ -1497,14 +1575,16 @@ def fast_simulate(policy, trace: Trace, record: _Record = None) -> Optional[SimR
         compiled = compile_trace(trace)
         if sp is not None:
             sp.set("accesses", compiled.n)
-        (counts,) = _replay_steppers(compiled, [(policy, record)], None)
+        (counts,) = _replay_steppers(compiled, [(policy, record, loads)], None)
     return _batch_result(name, policy.capacity, trace, compiled.n, *counts)
 
 
 def _replay_steppers(
-    compiled: CompiledTrace, kernels: List[Tuple[object, _Record]], chunk: Optional[int]
+    compiled: CompiledTrace,
+    kernels: List[Tuple[object, _Record, _Record]],
+    chunk: Optional[int],
 ) -> List[_Counts]:
-    """Advance one kernel stepper per ``(policy, record)`` in lockstep.
+    """Advance one kernel stepper per ``(policy, record, loads)`` in lockstep.
 
     The single stepper loop behind both replay entry points: every
     kernel sees each ``chunk``-sized slice of ``compiled`` before the
@@ -1512,7 +1592,8 @@ def _replay_steppers(
     one slice).  Returns each kernel's final counters, in order.
     """
     steppers = [
-        _DISPATCH[type(policy)](compiled, policy, rec) for policy, rec in kernels
+        _DISPATCH[type(policy)](compiled, policy, rec, lds)
+        for policy, rec, lds in kernels
     ]
     for items_c, blocks_c, dense_c in compiled.iter_chunks(chunk):
         for run, _finish in steppers:
@@ -2012,14 +2093,14 @@ def multi_policy_replay(
             sp.set("mattson_cells", len(norm) - len(remaining))
         if remaining:
             # Every remaining cell becomes a stepper over the shared arrays.
-            kernels: List[Tuple[object, _Record]] = []
+            kernels: List[Tuple[object, _Record, _Record]] = []
             for i in remaining:
                 name, cap, kwargs = norm[i]
                 cell_rec: _Record = [] if record is not None else None
                 if cell_rec is not None:
                     record[i] = cell_rec
                 policy = make_policy(name, cap, trace.mapping, **kwargs)
-                kernels.append((policy, cell_rec))
+                kernels.append((policy, cell_rec, None))
             compiled = compile_trace(trace)
             counts = _replay_steppers(
                 compiled, kernels, chunk if len(kernels) > 1 else None

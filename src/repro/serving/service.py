@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.engine import Engine
+from repro.core.fast import KIND_MISS, fast_fallback_reason, fast_simulate
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, ProtocolViolation
 from repro.serving.arrivals import ArrivalSpec, generate_arrivals
@@ -512,48 +513,47 @@ def serve(
     across an N-shard cluster.  With ``engine`` given, ``policy`` is
     ignored (pass ``None``) and the caller owns offline preparation.
 
+    Which path runs: when the cache stream is fixed before the loop
+    starts — FIFO queue, no ``queue_limit``, no ``timeout``,
+    ``size_dist="none"``, no ``recorder``, no ``engine`` — and a
+    :mod:`repro.core.fast` kernel covers the policy (cold, exact
+    class, equivalent mapping), one kernel pass precomputes every
+    request's hit kind and load-set size, and the event loop only
+    adds time.  The result is bit-identical to the referee path
+    (``tests/test_serving_fast.py``), and ``sim`` is the kernel's
+    :class:`SimResult`.  Everything else steps the referee ``Engine``
+    once per started request.  As with ``simulate(fast=True)``,
+    ``validate`` applies to the referee path only, and the kernel path
+    does not mutate ``policy``.  The ``serve`` span records the path
+    (``path="kernel"|"referee"``) and, for the referee, its
+    ``fallback_reason``: ``"engine"``, ``"observed"``, ``"sjf"``,
+    ``"drops"``, ``"etc-sizes"``, or a
+    :func:`~repro.core.fast.fast_fallback_reason` value.  To force the
+    referee, pass ``engine=Engine(policy, trace.mapping)``.
+
     Returns a :class:`ServingResult`; the run always drains (every
     admitted request completes or is dropped before the loop ends).
     """
     config = config if config is not None else ServingConfig()
-    if engine is None:
-        if trace.mapping is not policy.mapping and (
+    if engine is None and (
+        trace.mapping is not policy.mapping
+        and (
             trace.mapping.universe != policy.mapping.universe
             or trace.mapping.max_block_size != policy.mapping.max_block_size
-        ):
-            raise ProtocolViolation(
-                "trace and policy use different block mappings"
-            )
-        if policy.is_offline:
-            policy.prepare(trace)
-        engine = Engine(policy, trace.mapping, validate=validate, recorder=recorder)
-    engine.result.metadata.update(
-        {k: v for k, v in trace.metadata.items() if isinstance(v, (str, int, float))}
-    )
+        )
+    ):
+        raise ProtocolViolation("trace and policy use different block mappings")
+    reason = _referee_reason(policy, trace, config, engine, recorder)
     items: List[int] = trace.items.tolist()
     n = len(items)
     model = config.service
-    item_weights = model.item_weights(trace.mapping.universe)
     service_rng = np.random.default_rng(
         np.random.SeedSequence([model.seed, 0x53455256])
     )
     think_rng = np.random.default_rng(
         np.random.SeedSequence([config.arrival.seed, 0x434C4F53])
     )
-
-    result = ServingResult(
-        sim=engine.result,
-        serving=config.as_dict(),
-        latency=config.new_histogram(),
-        latency_by_kind={key: config.new_histogram() for key in KIND_KEYS.values()},
-        wait=config.new_histogram(),
-    )
-    loop = EventLoop()
-    state = _ServeState()
-    arrival_time: List[float] = [0.0] * n
-    kinds: List[Optional[HitKind]] = [None] * n
     closed = not config.arrival.open_loop
-    open_times: Optional[np.ndarray] = None
 
     def _sample_think() -> float:
         think = config.arrival.think
@@ -564,56 +564,185 @@ def serve(
     phase = (
         recorder.phase("serve") if recorder is not None else contextlib.nullcontext()
     )
-    with spans.span("serve", policy=result.sim.policy, requests=n):
+    with spans.span(
+        "serve",
+        requests=n,
+        path="kernel" if reason is None else "referee",
+        fallback_reason=reason,
+    ) as sp:
+        if reason is None:
+            sim, kinds, step = _kernel_steps(policy, trace, model, service_rng)
+            resident = None
+        else:
+            if engine is None:
+                if policy.is_offline:
+                    policy.prepare(trace)
+                engine = Engine(
+                    policy, trace.mapping, validate=validate, recorder=recorder
+                )
+            engine.result.metadata.update(
+                {
+                    k: v
+                    for k, v in trace.metadata.items()
+                    if isinstance(v, (str, int, float))
+                }
+            )
+            sim, kinds = engine.result, [None] * n
+            step = _referee_step(
+                engine, items, model, model.item_weights(trace.mapping.universe),
+                service_rng,
+            )
+            resident = engine.resident
+        if sp is not None:
+            sp.set("policy", sim.policy)
+        result = ServingResult(
+            sim=sim,
+            serving=config.as_dict(),
+            latency=config.new_histogram(),
+            latency_by_kind={
+                key: config.new_histogram() for key in KIND_KEYS.values()
+            },
+            wait=config.new_histogram(),
+        )
+        open_times: Optional[List[float]] = None
         with spans.span("serve.arrivals", process=config.arrival.process):
             if not closed and n:
-                open_times = generate_arrivals(config.arrival, n)
+                open_times = generate_arrivals(config.arrival, n).tolist()
+        state = _ServeState()
         with phase:
             _run_loop(
-                loop,
                 state,
                 config,
-                engine,
+                step,
+                resident,
                 items,
-                arrival_time,
                 kinds,
                 result,
-                model,
-                service_rng,
                 _sample_think,
                 open_times,
                 on_access,
                 on_event,
-                item_weights,
             )
     result.duration = state.last_t
     result.area_in_system = state.area_system
     result.area_busy = state.area_busy
     result.queue_peak = state.queue_peak
     if recorder is not None:
-        recorder.finalize(engine.result)
+        recorder.finalize(sim)
     return result
 
 
+#: Kernel outcome code → :class:`HitKind` (indexed by ``KIND_*``).
+_CODE_KINDS: Tuple[HitKind, ...] = (
+    HitKind.MISS,
+    HitKind.TEMPORAL_HIT,
+    HitKind.SPATIAL_HIT,
+)
+
+#: ``step(index) -> (kind, service_time)``: the cache access of request
+#: ``index`` and its sampled service time, called once per started
+#: request, in start order.
+_Step = Callable[[int], Tuple[HitKind, float]]
+
+
+def _referee_reason(
+    policy, trace: Trace, config: ServingConfig, engine, recorder
+) -> Optional[str]:
+    """Why :func:`serve` steps the referee, or ``None`` for the kernel.
+
+    The kernel path needs the cache stream fixed before the loop runs:
+    SJF reads live residency, drops skip accesses, ETC sizes weigh the
+    exact load set, and a recorder or a caller's engine observe the
+    referee itself.
+    """
+    if engine is not None:
+        return "engine"
+    if recorder is not None:
+        return "observed"
+    if config.queue == "sjf":
+        return "sjf"
+    if config.queue_limit is not None or config.timeout is not None:
+        return "drops"
+    if config.service.size_dist != "none":
+        return "etc-sizes"
+    return fast_fallback_reason(policy, trace)
+
+
+def _kernel_steps(
+    policy, trace: Trace, model: ServiceModel, service_rng: np.random.Generator
+) -> Tuple[SimResult, List[HitKind], _Step]:
+    """One kernel pass: every request's kind and miss load, up front.
+
+    FIFO with no drops starts requests in trace order, so the kernel's
+    access stream is the stream the referee would see, and service
+    times are still drawn one per start, in that same order.
+    """
+    codes: List[int] = []
+    loads: List[int] = []
+    sim = fast_simulate(policy, trace, record=codes, loads=loads)
+    assert sim is not None  # _referee_reason vetted the kernel
+    kinds = [_CODE_KINDS[code] for code in codes]
+    miss_loads = iter(loads)
+    loaded = [next(miss_loads) if code == KIND_MISS else 0 for code in codes]
+    sample = model.sample
+
+    def step(index: int) -> Tuple[HitKind, float]:
+        kind = kinds[index]
+        return kind, sample(kind, loaded[index], service_rng)
+
+    return sim, kinds, step
+
+
+def _referee_step(
+    engine,
+    items: List[int],
+    model: ServiceModel,
+    item_weights: Optional[np.ndarray],
+    service_rng: np.random.Generator,
+) -> _Step:
+    """Step the referee engine once per started request."""
+
+    def step(index: int) -> Tuple[HitKind, float]:
+        loaded_before = engine.result.loaded_items
+        kind = engine.access(items[index])
+        if item_weights is None:
+            loaded = engine.result.loaded_items - loaded_before
+            return kind, model.sample(kind, loaded, service_rng)
+        # Size-aware transfer cost: weigh each side-loaded item by its
+        # (normalized) value size instead of counting it as 1.
+        extra = 0.0
+        outcome = engine.last_outcome
+        if kind is HitKind.MISS and outcome is not None:
+            requested = items[index]
+            for loaded_item in outcome.loaded:
+                if loaded_item != requested:
+                    extra += float(item_weights[loaded_item])
+        return kind, model.sample_weighted(kind, extra, service_rng)
+
+    return step
+
+
 def _run_loop(
-    loop: EventLoop,
     state: _ServeState,
     config: ServingConfig,
-    engine: Engine,
+    step: _Step,
+    resident,
     items: List[int],
-    arrival_time: List[float],
     kinds: List[Optional[HitKind]],
     result: ServingResult,
-    model: ServiceModel,
-    service_rng: np.random.Generator,
     sample_think: Callable[[], float],
-    open_times: Optional[np.ndarray],
+    open_times: Optional[List[float]],
     on_access: Optional[Callable[[int, int, HitKind], None]],
     on_event: Optional[Callable[[str, float, int], None]],
-    item_weights: Optional[np.ndarray] = None,
 ) -> None:
-    """The event loop body (split out to keep :func:`serve` readable)."""
+    """The event loop body (split out to keep :func:`serve` readable).
+
+    ``resident`` is the referee's live residency view, read only by
+    the SJF queue (``None`` on the kernel path, which never runs SJF).
+    """
+    loop = EventLoop()
     n = len(items)
+    arrival_time: List[float] = [0.0] * n
     closed = not config.arrival.open_loop
     # Closed loop: clients are interchangeable consumers of "the next
     # workload request", so the trace cursor is assigned when an
@@ -624,28 +753,14 @@ def _run_loop(
     # exactly ``n`` ever enter the system.
     cursor = 0
     issued = 0
+    model = config.service
 
     def start_service(index: int, wait: float) -> None:
         state.busy += 1
-        loaded_before = engine.result.loaded_items
-        kind = engine.access(items[index])
+        kind, service_time = step(index)
         kinds[index] = kind
         if on_access is not None:
             on_access(index, items[index], kind)
-        if item_weights is None:
-            loaded = engine.result.loaded_items - loaded_before
-            service_time = model.sample(kind, loaded, service_rng)
-        else:
-            # Size-aware transfer cost: weigh each side-loaded item by
-            # its (normalized) value size instead of counting it as 1.
-            extra = 0.0
-            outcome = engine.last_outcome
-            if kind is HitKind.MISS and outcome is not None:
-                requested = items[index]
-                for loaded_item in outcome.loaded:
-                    if loaded_item != requested:
-                        extra += float(item_weights[loaded_item])
-            service_time = model.sample_weighted(kind, extra, service_rng)
         result.wait_sum += wait
         result.wait.record(wait)
         result.service_sum += service_time
@@ -655,7 +770,7 @@ def _run_loop(
 
     def expected_service(index: int) -> float:
         # SJF key: peek shadow residency (read-only) for the likely kind.
-        if items[index] in engine.resident:
+        if items[index] in resident:
             return model.t_hit
         return model.t_hit + model.t_miss
 
@@ -707,7 +822,7 @@ def _run_loop(
         # Next arrival is scheduled lazily: keeps the heap O(in-flight).
         if not closed and index + 1 < n:
             assert open_times is not None
-            loop.schedule(float(open_times[index + 1]), "arr", index + 1)
+            loop.schedule(open_times[index + 1], "arr", index + 1)
         if (
             config.queue_limit is not None
             and state.busy >= config.concurrency
@@ -752,7 +867,7 @@ def _run_loop(
                 loop.schedule(sample_think(), "arr", None)
         else:
             assert open_times is not None
-            loop.schedule(float(open_times[0]), "arr", 0)
+            loop.schedule(open_times[0], "arr", 0)
 
     with spans.span("serve.loop", requests=n):
         while True:
