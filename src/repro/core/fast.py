@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -751,60 +752,32 @@ def _kernel_gcm(
 
     The referee materialises and sorts the candidate set per eviction
     (``sorted(res - mk)[rng.integers(n)]`` — O(k log k) per miss).
-    The kernel answers the same query as a *rank selection*: the draw
-    ``idx = rng.integers(n)`` picks the ``(idx+1)``-th smallest
-    candidate id, which two Fenwick trees over original item ids
-    (resident / unmarked-resident membership) select in O(log U).
-    The RNG argument is the candidate *count* and the selected id is
-    the same order statistic, so the draw sequence and every victim
-    are bit-identical to the referee — only the cost changes.
+    The kernel keeps that candidate list alive instead: ``unmarked``
+    is the sorted list of unmarked residents, so the victim is
+    ``unmarked.pop(rng.integers(len(unmarked)))``.  A hit on an
+    unmarked item deletes it by bisection, deferred side loads are
+    ``insort``-ed and a phase reset re-sorts the residents.  The draw
+    bound is the same candidate count and the victim the same order
+    statistic, so the draw sequence and every victim are bit-identical
+    to the referee — only the cost changes (a memmove per update).
     """
     rng = np.random.default_rng(seed)
     resident: set = set()
     marked: set = set()
     pending: set = set()  # side-loaded residents not yet hit
+    unmarked: List[int] = []  # sorted unmarked residents (candidates)
     members_of = ct.block_members
-    # Fenwick (binary-indexed) membership trees over original item ids;
-    # ``item_block`` covers every id a GCM replay can ever load.
-    n_ids = (max(ct.item_block) + 1) if ct.item_block else 1
-    rtree = [0] * (n_ids + 1)  # all residents
-    utree = [0] * (n_ids + 1)  # unmarked residents (phase candidates)
-    top = 1
-    while (top << 1) <= n_ids:
-        top <<= 1
-    fw = [0, 0]  # (resident count, unmarked count) across chunks
-
-    def fw_add(tree: List[int], i: int, d: int) -> None:
-        i += 1
-        while i <= n_ids:
-            tree[i] += d
-            i += i & -i
-
-    def fw_select(tree: List[int], k: int) -> int:
-        """The item id holding rank ``k`` (1-based k-th smallest)."""
-        pos = 0
-        bit = top
-        while bit:
-            nxt = pos + bit
-            if nxt <= n_ids and tree[nxt] < k:
-                pos = nxt
-                k -= tree[nxt]
-            bit >>= 1
-        return pos
-
     st = [0, 0, 0, 0, 0]  # misses, temporal, spatial, loaded_n, evicted_n
 
     def run(items: List[int], blocks: List[int], dense: List[int]) -> None:
         misses, temporal, spatial, loaded_n, evicted_n = st
-        rcount, ucount = fw
         integers, shuffle = rng.integers, rng.shuffle
-        res, mk, pend = resident, marked, pending
+        res, mk, pend, cand = resident, marked, pending, unmarked
         for it, blk in zip(items, blocks):
             if it in res:
                 if it not in mk:
                     mk.add(it)
-                    fw_add(utree, it, -1)
-                    ucount -= 1
+                    del cand[bisect_left(cand, it)]
                 if it in pend:
                     pend.discard(it)
                     spatial += 1
@@ -818,24 +791,17 @@ def _kernel_gcm(
             loaded: set = set()
             evicted: set = set()
             # 1. Load and mark the requested item.  The victim is the
-            # referee's ``sorted(res - mk)[idx]`` selected by rank.
-            if rcount >= capacity:
-                if ucount == 0:
+            # referee's ``sorted(res - mk)[idx]``.
+            if len(res) >= capacity:
+                if not cand:
                     mk.clear()  # phase ends: all residents candidates
-                    utree[:] = rtree
-                    ucount = rcount
-                victim = fw_select(utree, int(integers(ucount)) + 1)
-                fw_add(utree, victim, -1)
-                ucount -= 1
-                fw_add(rtree, victim, -1)
-                rcount -= 1
+                    cand[:] = sorted(res)
+                victim = cand.pop(int(integers(len(cand))))
                 res.discard(victim)
                 evicted.add(victim)
             res.add(it)
             mk.add(it)
             loaded.add(it)
-            fw_add(rtree, it, 1)
-            rcount += 1
             # 2. Bring in the rest of the block, replacing unmarked
             # items (never this access's own loads).
             neighbours = [x for x in members_of[blk] if x not in res]
@@ -845,24 +811,17 @@ def _kernel_gcm(
                 neighbours = neighbours[: max_load - 1]
             side_loaded: List[int] = []
             for nb in neighbours:
-                if rcount >= capacity:
+                if len(res) >= capacity:
                     # Referee candidates = res - mk - loaded.  This
-                    # access's unmarked side loads enter ``utree`` only
-                    # after the loop, so the tree holds exactly that
-                    # set and ``ucount`` is the referee's count.
-                    if ucount == 0:
+                    # access's unmarked side loads join ``cand`` only
+                    # after the loop, so it holds exactly that set.
+                    if not cand:
                         break
-                    victim = fw_select(utree, int(integers(ucount)) + 1)
-                    fw_add(utree, victim, -1)
-                    ucount -= 1
-                    fw_add(rtree, victim, -1)
-                    rcount -= 1
+                    victim = cand.pop(int(integers(len(cand))))
                     res.discard(victim)
                     evicted.add(victim)
                 res.add(nb)
                 loaded.add(nb)
-                fw_add(rtree, nb, 1)
-                rcount += 1
                 if mark_side_loads:
                     mk.add(nb)
                 else:
@@ -870,8 +829,7 @@ def _kernel_gcm(
             # Deferred: this access's unmarked side loads become
             # eviction candidates for later accesses only.
             for nb in side_loaded:
-                fw_add(utree, nb, 1)
-            ucount += len(side_loaded)
+                insort(cand, nb)
             # (The referee's ``marked &= resident`` is a no-op: victims
             # are always unmarked at eviction time.)
             churn = loaded & evicted
@@ -898,7 +856,6 @@ def _kernel_gcm(
             loaded_n,
             evicted_n,
         )
-        fw[0], fw[1] = rcount, ucount
 
     def finish() -> _Counts:
         return st[0], st[1], st[2], st[3], st[4]

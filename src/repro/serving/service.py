@@ -1,12 +1,15 @@
 """Request-level serving: from cache decisions to request latency.
 
-This is the layer ROADMAP item 1 asks for: the offline simulator
-answers *"what is the miss ratio"*; :func:`serve` answers *"what does
-a user feel at this offered load"*.  Every policy plugs in unchanged —
-the serving loop drives the same referee :class:`~repro.core.engine.
-Engine` (validation, spatial/temporal taxonomy, ``on_access``
-contract) that :func:`~repro.core.engine.simulate` uses, so the cache
-decision stream is exactly the offline one; serving only adds *time*:
+The offline simulator answers *"what is the miss ratio"*;
+:func:`serve` answers *"what does a user feel at this offered load"*.
+Every policy plugs in unchanged.  When the cache stream is fixed
+before the loop starts (FIFO queue, no drops, no ETC sizes, no
+recorder or caller engine) and a :mod:`repro.core.fast` kernel covers
+the policy, one kernel pass precomputes every request's hit kind and
+load-set size; otherwise the loop steps the referee
+:class:`~repro.core.engine.Engine` once per started request.  Either
+way the cache decision stream is exactly the offline one (the kernel
+path is bit-identical to the referee path); serving only adds *time*:
 
 * **Arrivals** (open-loop Poisson / bursty MMPP / constant, or a
   closed-loop client population) timestamp each trace request.

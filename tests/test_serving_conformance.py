@@ -30,7 +30,8 @@ POLICIES = [
     ("item-lru", True),
     ("iblp", True),
     ("block-fifo", True),
-    ("gcm", False),
+    ("gcm", True),
+    ("belady-item", False),
 ]
 
 
