@@ -267,7 +267,7 @@ def _run_policy_batches(
     it at the same cost), and any :class:`ConfigurationError` from the
     batched engine silently defers to per-cell replay.
     """
-    from repro.core.fast import FAST_POLICY_NAMES, multi_policy_replay
+    from repro.core.fast import multi_policy_replay, multi_policy_supported
     from repro.core.trace import Trace
     from repro.telemetry import spans
 
@@ -276,16 +276,11 @@ def _run_policy_batches(
     for i, cell in enumerate(cell_list):
         if not _BATCHABLE_KEYS.issuperset(cell):
             continue
-        policy = cell.get("policy")
-        capacity = cell.get("capacity")
         trace = cell.get("trace")
-        if cell.get("fast", True) is not True:
+        if cell.get("fast", True) is not True or not isinstance(trace, Trace):
             continue
-        if policy not in FAST_POLICY_NAMES:
-            continue
-        if not isinstance(capacity, int) or isinstance(capacity, bool):
-            continue
-        if capacity < 1 or not isinstance(trace, Trace):
+        pair = (cell.get("policy"), cell.get("capacity"))
+        if not multi_policy_supported([pair], trace):
             continue
         groups.setdefault(id(trace), []).append(i)
         traces[id(trace)] = trace

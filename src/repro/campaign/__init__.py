@@ -20,15 +20,16 @@ of ``sweep``/``simulate_cell``:
 * :mod:`repro.campaign.runner` — the checkpointed executor: per-cell
   worker processes with timeouts, retry with exponential backoff, and
   a poison-cell quarantine that lets the rest of the grid finish.
-* :mod:`repro.campaign.integrate` — :class:`CampaignCache`, a
-  memoizing ``simulate`` front-end the experiment drivers use to make
-  table/figure regeneration resumable.
+* :mod:`repro.campaign.integrate` — :class:`CampaignCache`, the memo
+  layer over the runner's cells that the experiment drivers use to
+  make table/figure regeneration resumable (:data:`UNCACHED` is its
+  store-less default).
 
 ``campaign run / resume / status / export`` on the CLI drive all of
 this; see ``docs/campaigns.md``.
 """
 
-from repro.campaign.integrate import CampaignCache, cached_simulate, open_cache
+from repro.campaign.integrate import UNCACHED, CampaignCache, open_cache
 from repro.campaign.journal import Journal
 from repro.campaign.runner import CampaignReport, CampaignRunner, RetryPolicy
 from repro.campaign.spec import (
@@ -50,7 +51,7 @@ __all__ = [
     "ResultStore",
     "RetryPolicy",
     "TraceSpec",
-    "cached_simulate",
+    "UNCACHED",
     "cell_hash",
     "open_cache",
     "trace_workload_names",

@@ -332,10 +332,7 @@ def collect_rows(directory: str | Path) -> List[Dict[str, Any]]:
             stored = store.get(digest)
             if stored is None:
                 continue
-            row = result_from_fields(stored).as_row()
-            for key, value in cell.params_row().items():
-                row.setdefault(key, value)
-            rows.append(row)
+            rows.append(cell.row(result_from_fields(stored)))
     return rows
 
 

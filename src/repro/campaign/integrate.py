@@ -1,15 +1,23 @@
-"""Experiment integration: a memoizing ``simulate`` front-end.
+"""Experiment integration: a memo layer over the runner's cells.
 
 The experiment drivers (:mod:`repro.experiments`) replay hand-built
 policy cells over their own traces; rewriting them as declarative grids
 would lose their narrative structure.  :class:`CampaignCache` instead
-gives them the campaign subsystem's memoization à la carte: it looks
-like ``simulate`` but is keyed by the same content address the runner
-uses (policy registry name + kwargs, capacity, trace fingerprint, fast
-flag, code version), backed by the same crash-safe
-:class:`~repro.campaign.store.ResultStore`.  An experiment rendered
-through a cache is resumable — kill it anywhere, rerun, and only the
-not-yet-stored simulations execute.
+gives them the campaign subsystem's memoization à la carte.  Each
+method builds :class:`~repro.campaign.spec.CellSpec` cells and hands
+them to one memo loop, which addresses them with
+:meth:`CellSpec.digest` (the address ``campaign run`` uses), serves the
+stored ones from the crash-safe
+:class:`~repro.campaign.store.ResultStore`, and computes the rest with
+:func:`~repro.campaign.runner.run_cell` — offline fast cells with a
+kernel share one :func:`~repro.core.fast.multi_policy_replay`
+traversal.  An experiment rendered through a cache is resumable: kill
+it anywhere, rerun, and only the not-yet-stored cells execute.
+
+:data:`UNCACHED` is the store-less cache (``directory=None``): no
+store, no journal, no addresses, every cell computed through the same
+path.  It is the drivers' default, so no caller branches on whether a
+cache exists.
 
 Only trace-driven simulations are cacheable.  Adaptive-adversary runs
 (the adversary reacts to the policy's decisions, so there is no trace
@@ -20,37 +28,55 @@ mixing both memoize the trace-driven part.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.journal import Journal
-from repro.campaign.spec import cell_hash
+from repro.campaign.runner import result_fields, result_from_fields, run_cell
+from repro.campaign.spec import CellSpec
 from repro.campaign.store import ResultStore
-from repro.campaign.runner import result_fields, result_from_fields
 from repro.core.trace import Trace
 from repro.types import SimResult
 
-__all__ = ["CampaignCache", "cached_simulate", "cached_serve", "open_cache"]
+__all__ = ["CampaignCache", "UNCACHED", "open_cache"]
+
+#: ``compute(cell, trace) -> result`` for one cell the store lacks.
+_Compute = Callable[[CellSpec, Trace], Any]
+
+
+def _canonical(cls: Any, value: Any) -> Optional[Dict[str, Any]]:
+    """``value`` — a ``cls`` instance or its dict form — as the
+    canonical dict the content address hashes (``None`` passes)."""
+    if value is None:
+        return None
+    return (value if isinstance(value, cls) else cls.from_dict(value)).as_dict()
 
 
 class CampaignCache:
-    """Content-addressed memoization of ``simulate`` calls.
+    """Content-addressed memoization of experiment cells.
 
     Parameters
     ----------
     directory:
         Campaign directory holding the store and journal (shared with
-        ``campaign`` CLI runs pointed at the same directory).
+        ``campaign`` CLI runs pointed at the same directory), or
+        ``None`` for the store-less cache that computes every cell.
     recorder:
         Optional :class:`repro.telemetry.Recorder`; hit/miss counters
         are published into its registry on :meth:`close`.
     """
 
     def __init__(
-        self, directory: str | Path, recorder=None, store_sync: bool = True
+        self,
+        directory: Optional[str | Path],
+        recorder=None,
+        store_sync: bool = True,
     ) -> None:
-        self.directory = Path(directory)
-        self.store = ResultStore(self.directory, sync=store_sync)
-        self.journal = Journal(self.directory)
+        self.directory = None if directory is None else Path(directory)
+        self.store = None
+        self.journal = None
+        if self.directory is not None:
+            self.store = ResultStore(self.directory, sync=store_sync)
+            self.journal = Journal(self.directory)
         self.recorder = recorder
         self.hits = 0
         self.computed = 0
@@ -91,49 +117,18 @@ class CampaignCache:
         policy kwargs); anything else raises
         :class:`~repro.errors.ConfigurationError`.  Each cell keeps its
         own content address, so stored cells are served unchanged and
-        cells computed here are visible to later calls.  The cells the
-        store cannot answer are computed once each — a repeated cell
-        is served from its first occurrence and counts as a hit — in
-        one multi-policy traversal when every one has a kernel, and
-        per-cell otherwise.  Returns results in input order.
+        cells computed here are visible to later calls.  Returns
+        results in input order.
         """
         from repro.core.fast import _normalize_cells
 
-        norm = _normalize_cells(cells)
-        fingerprint = trace.fingerprint()
-        digests = [
-            cell_hash(
-                policy=name,
-                capacity=capacity,
-                trace_fingerprint=fingerprint,
-                fast=fast,
-                policy_kwargs=kwargs,
-            )
-            for name, capacity, kwargs in norm
-        ]
-        results: list = [None] * len(norm)
-        first: Dict[str, int] = {}
-        for i, digest in enumerate(digests):
-            if digest not in first:
-                first[digest] = i
-                stored = self.store.get(digest)
-                if stored is not None:
-                    results[i] = result_from_fields(stored)
-        missing = [i for i in first.values() if results[i] is None]
-        if missing:
-            computed = _replay([norm[i] for i in missing], trace, fast)
-            for i, result in zip(missing, computed):
-                self.store.put(digests[i], result_fields(result))
-                self.journal.append(
-                    "done", hash=digests[i], attempt=1, memo=False, source="cache"
-                )
-                results[i] = result
-        for i, digest in enumerate(digests):
-            if results[i] is None:  # a repeat of an earlier cell
-                results[i] = result_from_fields(result_fields(results[first[digest]]))
-        self.computed += len(missing)
-        self.hits += len(norm) - len(missing)
-        return results
+        return self._run(
+            [
+                CellSpec(name, capacity, "", fast=fast, policy_kwargs=kwargs)
+                for name, capacity, kwargs in _normalize_cells(cells)
+            ],
+            trace,
+        )
 
     def serve(
         self,
@@ -152,31 +147,17 @@ class CampaignCache:
         :class:`repro.serving.ServingResult`, bit-identical whether
         computed now or replayed from the store.
         """
-        from repro.serving import ServingConfig, serve_policy
+        from repro.serving import ServingConfig
 
-        config = (
-            serving
-            if isinstance(serving, ServingConfig)
-            else ServingConfig.from_dict(serving)
-        )
-        digest = cell_hash(
-            policy=policy,
-            capacity=capacity,
-            trace_fingerprint=trace.fingerprint(),
+        cell = CellSpec(
+            policy,
+            capacity,
+            "",
             fast=False,
             policy_kwargs=policy_kwargs,
-            serving=config.as_dict(),
+            serving=_canonical(ServingConfig, serving),
         )
-        stored = self.store.get(digest)
-        if stored is not None:
-            self.hits += 1
-            return result_from_fields(stored)
-        result = serve_policy(policy, capacity, trace, config, **policy_kwargs)
-        self.store.put(digest, result.fields())
-        self.journal.append(
-            "done", hash=digest, attempt=1, memo=False, source="cache"
-        )
-        self.computed += 1
+        (result,) = self._run([cell], trace)
         return result
 
     def cluster(
@@ -200,62 +181,19 @@ class CampaignCache:
         a :class:`repro.serving.ServingResult`; otherwise it replays
         offline and returns a :class:`repro.cluster.ClusterResult`.
         """
-        from repro.cluster import ClusterSpec, replay_cluster
+        from repro.cluster import ClusterSpec
+        from repro.serving import ServingConfig
 
-        spec = (
-            cluster
-            if isinstance(cluster, ClusterSpec)
-            else ClusterSpec.from_dict(cluster)
-        )
-        serving_dict = None
-        config = None
-        if serving is not None:
-            from repro.serving import ServingConfig
-
-            config = (
-                serving
-                if isinstance(serving, ServingConfig)
-                else ServingConfig.from_dict(serving)
-            )
-            serving_dict = config.as_dict()
-        digest = cell_hash(
-            policy=policy,
-            capacity=capacity,
-            trace_fingerprint=trace.fingerprint(),
+        cell = CellSpec(
+            policy,
+            capacity,
+            "",
             fast=fast if serving is None else False,
             policy_kwargs=policy_kwargs,
-            serving=serving_dict,
-            cluster=spec.as_dict(),
+            serving=_canonical(ServingConfig, serving),
+            cluster=_canonical(ClusterSpec, cluster),
         )
-        stored = self.store.get(digest)
-        if stored is not None:
-            self.hits += 1
-            return result_from_fields(stored)
-        if config is not None:
-            from repro.cluster.serving_bridge import serve_cluster
-
-            result = serve_cluster(
-                policy,
-                capacity,
-                trace,
-                spec,
-                config,
-                policy_kwargs=policy_kwargs,
-            )
-        else:
-            result = replay_cluster(
-                policy,
-                capacity,
-                trace,
-                spec,
-                policy_kwargs=policy_kwargs,
-                fast=fast,
-            )
-        self.store.put(digest, result.fields())
-        self.journal.append(
-            "done", hash=digest, attempt=1, memo=False, source="cache"
-        )
-        self.computed += 1
+        (result,) = self._run([cell], trace)
         return result
 
     def cluster_multitenant(
@@ -276,13 +214,11 @@ class CampaignCache:
         deterministic, so it names the tenant mix exactly) plus the
         cluster dict extended with the tenancy configuration — mode,
         per-tenant policies, and capacity shares — so every one of the
-        four isolation configurations stores under its own cell.
+        four isolation configurations stores under its own cell.  A
+        tenant mix is not a runner cell, so the compute step is
+        :func:`repro.cluster.replay_multitenant`.
         """
-        from repro.cluster import (
-            ClusterSpec,
-            combine_tenants,
-            replay_multitenant,
-        )
+        from repro.cluster import ClusterSpec, combine_tenants, replay_multitenant
 
         spec = (
             cluster
@@ -296,33 +232,69 @@ class CampaignCache:
             "policies": dict(policies or {}),
             "shares": dict(shares or {}),
         }
-        digest = cell_hash(
-            policy=policy,
-            capacity=capacity,
-            trace_fingerprint=combined.fingerprint(),
+        cell = CellSpec(
+            policy,
+            capacity,
+            "",
             fast=fast,
             cluster={**spec.as_dict(), "tenancy": tenancy},
         )
-        stored = self.store.get(digest)
-        if stored is not None:
-            self.hits += 1
-            return result_from_fields(stored)
-        result = replay_multitenant(
-            tenant_traces,
-            mode,
-            policy,
-            capacity,
-            spec,
-            policies=policies,
-            shares=shares,
-            fast=fast,
-        )
-        self.store.put(digest, result.fields())
-        self.journal.append(
-            "done", hash=digest, attempt=1, memo=False, source="cache"
-        )
-        self.computed += 1
+
+        def compute(_cell: CellSpec, _trace: Trace):
+            return replay_multitenant(
+                tenant_traces,
+                mode,
+                policy,
+                capacity,
+                spec,
+                policies=policies,
+                shares=shares,
+                fast=fast,
+            )
+
+        (result,) = self._run([cell], combined, compute)
         return result
+
+    def _run(
+        self,
+        cells: Sequence[CellSpec],
+        trace: Trace,
+        compute: _Compute = run_cell,
+    ) -> list:
+        """The one memo loop: results for ``cells`` over ``trace``.
+
+        Cells are deduplicated by content address (a repeat is served
+        from its first occurrence and counts as a hit), stored cells
+        come from the store, and the misses are computed once each by
+        :func:`_compute`, then stored and journaled ``done`` with
+        ``source="cache"``.  The store-less cache computes every cell.
+        """
+        if self.store is None:
+            return _compute(cells, trace, compute)
+        fingerprint = trace.fingerprint()
+        digests = [cell.digest(fingerprint) for cell in cells]
+        results: list = [None] * len(cells)
+        first: Dict[str, int] = {}
+        for i, digest in enumerate(digests):
+            if digest not in first:
+                first[digest] = i
+                stored = self.store.get(digest)
+                if stored is not None:
+                    results[i] = result_from_fields(stored)
+        missing = [i for i in first.values() if results[i] is None]
+        computed = _compute([cells[i] for i in missing], trace, compute)
+        for i, result in zip(missing, computed):
+            self.store.put(digests[i], result_fields(result))
+            self.journal.append(
+                "done", hash=digests[i], attempt=1, memo=False, source="cache"
+            )
+            results[i] = result
+        for i, digest in enumerate(digests):
+            if results[i] is None:  # a repeat of an earlier cell
+                results[i] = result_from_fields(result_fields(results[first[digest]]))
+        self.computed += len(missing)
+        self.hits += len(cells) - len(missing)
+        return results
 
     @property
     def hit_ratio(self) -> float:
@@ -330,6 +302,8 @@ class CampaignCache:
         return self.hits / total if total else 0.0
 
     def close(self) -> None:
+        if self.store is None:
+            return
         if self.recorder is not None:
             reg = self.recorder.registry
             reg.counter("campaign_cache_hits").inc(self.hits)
@@ -345,77 +319,50 @@ class CampaignCache:
         self.close()
 
 
-def _replay(cells: list, trace: Trace, fast: bool) -> List[SimResult]:
-    """Compute normalized cells: one
-    :func:`repro.core.fast.multi_policy_replay` traversal when ``fast``
-    and every cell has a kernel, per-cell ``simulate`` otherwise."""
+def _compute(
+    cells: Sequence[CellSpec], trace: Trace, compute: _Compute
+) -> List[Any]:
+    """Compute ``cells`` over ``trace``, in order.
+
+    Offline fast cells whose policy has a kernel share one
+    :func:`repro.core.fast.multi_policy_replay` traversal; every other
+    cell goes through ``compute`` on its own.
+    """
     from repro.core.fast import multi_policy_replay, multi_policy_supported
 
-    if fast and multi_policy_supported(cells, trace):
-        return multi_policy_replay(cells, trace)
-    from repro.core.engine import simulate
-    from repro.policies import make_policy
-
-    return [
-        simulate(make_policy(name, capacity, trace.mapping, **kwargs), trace, fast=fast)
-        for name, capacity, kwargs in cells
+    batch = [
+        i
+        for i, cell in enumerate(cells)
+        if cell.fast
+        and cell.serving is None
+        and cell.cluster is None
+        and multi_policy_supported([(cell.policy, cell.capacity)], trace)
     ]
+    results: List[Any] = [None] * len(cells)
+    if batch:
+        batched = multi_policy_replay(
+            [
+                (cells[i].policy, cells[i].capacity, dict(cells[i].policy_kwargs))
+                for i in batch
+            ],
+            trace,
+        )
+        for i, result in zip(batch, batched):
+            results[i] = result
+    for i, cell in enumerate(cells):
+        if results[i] is None:
+            results[i] = compute(cell, trace)
+    return results
 
 
-def cached_simulate(
-    cache: Optional["CampaignCache"],
-    cells: Any,
-    trace: Trace,
-    fast: bool = True,
-) -> List[SimResult]:
-    """``cache.simulate_many(...)``, or the same replay uncached when
-    ``cache`` is None.
-
-    The single call-site shape the experiment drivers use: they take an
-    optional cache and route each trace's cells through this in one
-    call, so the same code path serves both ``render()`` (uncached) and
-    campaign-backed resumable runs, and either way a trace's cells
-    share one traversal.
-    """
-    if cache is not None:
-        return cache.simulate_many(cells, trace, fast=fast)
-    from repro.core.fast import _normalize_cells
-
-    return _replay(_normalize_cells(cells), trace, fast)
+#: The store-less cache: computes every cell, keeps no state, and its
+#: :meth:`~CampaignCache.close` does nothing, so one instance is shared.
+UNCACHED = CampaignCache(None)
 
 
-def cached_serve(
-    cache: Optional["CampaignCache"],
-    policy: str,
-    capacity: int,
-    trace: Trace,
-    serving: Any,
-    **policy_kwargs: Any,
-):
-    """``cache.serve(...)``, or a plain uncached ``serve_policy`` when
-    ``cache`` is None.
-
-    The serving-column twin of :func:`cached_simulate`: experiments
-    that attach p50/p99 sojourn columns route through this so the
-    request-level runs memoize alongside the offline cells.
-    """
-    if cache is not None:
-        return cache.serve(policy, capacity, trace, serving, **policy_kwargs)
-    from repro.serving import ServingConfig, serve_policy
-
-    config = (
-        serving
-        if isinstance(serving, ServingConfig)
-        else ServingConfig.from_dict(serving)
-    )
-    return serve_policy(policy, capacity, trace, config, **policy_kwargs)
-
-
-def open_cache(
-    directory: Optional[str | Path], recorder=None
-) -> Optional[CampaignCache]:
-    """``CampaignCache`` for ``directory``, or ``None`` when no
+def open_cache(directory: Optional[str | Path], recorder=None) -> CampaignCache:
+    """``CampaignCache`` for ``directory``, or :data:`UNCACHED` when no
     directory is given (the experiments' uncached default)."""
     if directory is None:
-        return None
+        return UNCACHED
     return CampaignCache(directory, recorder=recorder)

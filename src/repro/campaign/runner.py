@@ -63,13 +63,21 @@ __all__ = [
     "CampaignReport",
     "CampaignRunner",
     "execute_cell",
+    "run_cell",
     "result_fields",
     "result_from_fields",
 ]
 
 
-def result_fields(result: SimResult) -> Dict[str, Any]:
-    """Full, JSON-safe :class:`SimResult` state (lossless round-trip)."""
+def result_fields(result: Any) -> Dict[str, Any]:
+    """Full, JSON-safe result state (lossless round-trip through
+    :func:`result_from_fields`).
+
+    Serving and cluster results carry their own self-tagged
+    ``fields()``; a :class:`SimResult` is flattened here.
+    """
+    if not isinstance(result, SimResult):
+        return result.fields()
     return {
         "accesses": result.accesses,
         "misses": result.misses,
@@ -124,13 +132,14 @@ def result_from_fields(fields: Dict[str, Any]):
     )
 
 
-def execute_cell(cell: CellSpec, trace: Trace) -> Dict[str, Any]:
+def run_cell(cell: CellSpec, trace: Trace) -> Any:
     """Run one cell (same replay path as ``sweep``'s ``simulate_cell``).
 
     A cell with a ``serving`` config runs the request-level simulator
     instead; a cell with a ``cluster`` spec replays (or serves)
-    through an N-shard cluster.  Either payload is self-tagged, so
-    :func:`result_from_fields` rebuilds the right type.
+    through an N-shard cluster.  Returns the :class:`SimResult`,
+    :class:`repro.serving.ServingResult` or
+    :class:`repro.cluster.ClusterResult`.
     """
     from repro.core.engine import simulate
     from repro.policies import make_policy
@@ -150,7 +159,7 @@ def execute_cell(cell: CellSpec, trace: Trace) -> Dict[str, Any]:
                 cluster,
                 ServingConfig.from_dict(cell.serving),
                 policy_kwargs=cell.policy_kwargs,
-            ).fields()
+            )
         return replay_cluster(
             cell.policy,
             cell.capacity,
@@ -158,15 +167,21 @@ def execute_cell(cell: CellSpec, trace: Trace) -> Dict[str, Any]:
             cluster,
             policy_kwargs=cell.policy_kwargs,
             fast=cell.fast,
-        ).fields()
+        )
     instance = make_policy(
         cell.policy, cell.capacity, trace.mapping, **dict(cell.policy_kwargs)
     )
     if cell.serving is not None:
         from repro.serving import ServingConfig, serve
 
-        return serve(instance, trace, ServingConfig.from_dict(cell.serving)).fields()
-    return result_fields(simulate(instance, trace, fast=cell.fast))
+        return serve(instance, trace, ServingConfig.from_dict(cell.serving))
+    return simulate(instance, trace, fast=cell.fast)
+
+
+def execute_cell(cell: CellSpec, trace: Trace) -> Dict[str, Any]:
+    """:func:`run_cell`'s stored payload; every payload is self-tagged,
+    so :func:`result_from_fields` rebuilds the right type."""
+    return result_fields(run_cell(cell, trace))
 
 
 def _worker_main(
@@ -313,14 +328,7 @@ class CampaignReport:
     def rows(self) -> List[Dict[str, Any]]:
         """Result rows in grid order (sweep-compatible: ``as_row()`` +
         echoed cell parameters, worker values winning on collision)."""
-        out = []
-        for outcome in self.done:
-            assert outcome.result is not None
-            row = outcome.result.as_row()
-            for key, value in outcome.cell.params_row().items():
-                row.setdefault(key, value)
-            out.append(row)
-        return out
+        return [outcome.cell.row(outcome.result) for outcome in self.done]
 
     def summary(self) -> Dict[str, Any]:
         return {

@@ -230,6 +230,29 @@ class CellSpec:
         out.update(self.policy_kwargs)
         return out
 
+    def row(self, result: Any) -> Dict[str, Any]:
+        """The exported row: ``result.as_row()`` plus the echoed
+        :meth:`params_row` (result values win on collision)."""
+        row = result.as_row()
+        for key, value in self.params_row().items():
+            row.setdefault(key, value)
+        return row
+
+    def digest(self, trace_fingerprint: str, version: Optional[str] = None) -> str:
+        """This cell's content address over a trace with
+        ``trace_fingerprint`` (see :func:`cell_hash`); the trace *key*
+        is not part of it."""
+        return cell_hash(
+            policy=self.policy,
+            capacity=self.capacity,
+            trace_fingerprint=trace_fingerprint,
+            fast=self.fast,
+            policy_kwargs=self.policy_kwargs,
+            version=version,
+            serving=self.serving,
+            cluster=self.cluster,
+        )
+
     def mode_label(self) -> str:
         """Short human label for status/watch boards.
 
@@ -373,16 +396,7 @@ class CampaignSpec:
         version, so a resumed campaign addresses the rows it wrote.
         """
         return [
-            cell_hash(
-                policy=cell.policy,
-                capacity=cell.capacity,
-                trace_fingerprint=fingerprints[cell.trace],
-                fast=cell.fast,
-                policy_kwargs=cell.policy_kwargs,
-                version=self.version,
-                serving=cell.serving,
-                cluster=cell.cluster,
-            )
+            cell.digest(fingerprints[cell.trace], version=self.version)
             for cell in self.cells
         ]
 

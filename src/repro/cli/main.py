@@ -623,10 +623,7 @@ def _dispatch(ns: argparse.Namespace):
                 for scheme in schemes
                 for n in ns.shards
             ]
-        cache = open_cache(ns.campaign_dir)
-        if cache is None:
-            return latency_vs_load.render(**kwargs)
-        with cache:
+        with open_cache(ns.campaign_dir) as cache:
             return latency_vs_load.render(cache=cache, **kwargs)
     if ns.command == "report":
         from repro.telemetry.report import load_telemetry, render_report
@@ -646,10 +643,7 @@ def _dispatch(ns: argparse.Namespace):
                 arrival=ArrivalSpec(rate=ns.serve_rate),
                 concurrency=ns.serve_concurrency,
             )
-        cache = open_cache(ns.campaign_dir)
-        if cache is None:
-            return ablation.render(k=ns.k, B=ns.B, serving=serving)
-        with cache:
+        with open_cache(ns.campaign_dir) as cache:
             return ablation.render(k=ns.k, B=ns.B, cache=cache, serving=serving)
     if ns.command == "profile":
         trace = _WORKLOADS[ns.workload](ns)

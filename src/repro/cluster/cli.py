@@ -165,20 +165,16 @@ def run_cluster_command(ns: argparse.Namespace):
     """Dispatch a parsed ``cluster`` invocation; returns printable text."""
     from repro.campaign import open_cache
 
-    cache = open_cache(ns.campaign_dir)
-    try:
+    with open_cache(ns.campaign_dir) as cache:
         if ns.cluster_command == "run":
             return _run(ns, cache)
         if ns.cluster_command == "spatial":
             return _spatial(ns, cache)
         return _isolation(ns, cache)
-    finally:
-        if cache is not None:
-            cache.close()
 
 
 def _run(ns: argparse.Namespace, cache):
-    from repro.cluster import ClusterSpec, replay_cluster
+    from repro.cluster import ClusterSpec
 
     trace = _WORKLOADS[ns.workload](ns)
     spec = ClusterSpec(
@@ -188,14 +184,7 @@ def _run(ns: argparse.Namespace, cache):
         hash_seed=ns.hash_seed,
         capacity_mode=ns.capacity_mode,
     )
-    if cache is not None:
-        result = cache.cluster(
-            ns.policy, ns.capacity, trace, spec, fast=ns.fast
-        )
-    else:
-        result = replay_cluster(
-            ns.policy, ns.capacity, trace, spec, fast=ns.fast
-        )
+    result = cache.cluster(ns.policy, ns.capacity, trace, spec, fast=ns.fast)
     out = format_table([result.as_row()], title="cluster result")
     if ns.per_shard:
         out += "\n" + format_table(

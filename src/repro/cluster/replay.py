@@ -198,12 +198,7 @@ def _merge_shards(
     merged = SimResult(policy=policy_name, capacity=capacity)
     merged.metadata.update(_scalar_metadata(trace))
     for res in shard_results:
-        merged.accesses += res.accesses
-        merged.misses += res.misses
-        merged.temporal_hits += res.temporal_hits
-        merged.spatial_hits += res.spatial_hits
-        merged.loaded_items += res.loaded_items
-        merged.evicted_items += res.evicted_items
+        merged.add_counts(res)
     return merged
 
 
@@ -456,19 +451,8 @@ def replay_multitenant(
                 "spatial_hits": sub.sim.spatial_hits,
             }
             for shard, res in enumerate(sub.shards):
-                tot = shard_totals[shard]
-                tot.accesses += res.accesses
-                tot.misses += res.misses
-                tot.temporal_hits += res.temporal_hits
-                tot.spatial_hits += res.spatial_hits
-                tot.loaded_items += res.loaded_items
-                tot.evicted_items += res.evicted_items
-            merged.accesses += sub.sim.accesses
-            merged.misses += sub.sim.misses
-            merged.temporal_hits += sub.sim.temporal_hits
-            merged.spatial_hits += sub.sim.spatial_hits
-            merged.loaded_items += sub.sim.loaded_items
-            merged.evicted_items += sub.sim.evicted_items
+                shard_totals[shard].add_counts(res)
+            merged.add_counts(sub.sim)
             referenced = sub.block_stats.get("blocks_referenced", 0)
             block_stats["blocks_referenced"] += referenced
             block_stats["blocks_split"] += sub.block_stats.get("blocks_split", 0)

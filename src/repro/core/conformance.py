@@ -34,6 +34,7 @@ from repro.core.fast import (
     KIND_SPATIAL,
     KIND_TEMPORAL,
     MULTI_CAPACITY_POLICIES,
+    _normalize_cells,
     fast_simulate,
     multi_capacity_replay,
     multi_capacity_supported,
@@ -83,6 +84,18 @@ RESULT_FIELDS: Tuple[str, ...] = (
     "capacity",
     "metadata",
 )
+
+
+def _diff_results(
+    a: SimResult, b: SimResult, a_label: str, b_label: str
+) -> List[str]:
+    """One mismatch line per :data:`RESULT_FIELDS` member that differs."""
+    return [
+        f"SimResult.{fname}: {a_label}={getattr(a, fname)!r} "
+        f"{b_label}={getattr(b, fname)!r}"
+        for fname in RESULT_FIELDS
+        if getattr(a, fname) != getattr(b, fname)
+    ]
 
 
 def referee_outcomes(
@@ -220,13 +233,9 @@ def _check_cell(
     loads = ConformanceReport(
         policy=ref_result.policy, capacity=capacity, accesses=ref_result.accesses
     )
-    for fname in RESULT_FIELDS:
-        ref_val = getattr(ref_result, fname)
-        fast_val = getattr(fast_result, fname)
-        if ref_val != fast_val:
-            cell.mismatches.append(
-                f"SimResult.{fname}: referee={ref_val!r} fast={fast_val!r}"
-            )
+    cell.mismatches.extend(
+        _diff_results(ref_result, fast_result, "referee", "fast")
+    )
     cell.mismatches.extend(_diff_streams(ref_codes, fast_codes))
     loads.mismatches.extend(
         _diff_loads(ref_loads, fast_loads, fast_result.loaded_items)
@@ -325,14 +334,9 @@ def check_multi_capacity(
             capacity=capacity,
             accesses=ref_result.accesses,
         )
-        for fname in RESULT_FIELDS:
-            ref_val = getattr(ref_result, fname)
-            batch_val = getattr(batch_result, fname)
-            if ref_val != batch_val:
-                report.mismatches.append(
-                    f"SimResult.{fname}: referee={ref_val!r} "
-                    f"batched={batch_val!r}"
-                )
+        report.mismatches.extend(
+            _diff_results(ref_result, batch_result, "referee", "batched")
+        )
         report.mismatches.extend(_diff_streams(ref_codes, record[capacity]))
         reports.append(report)
     return reports
@@ -346,16 +350,6 @@ def assert_multi_capacity_conformant(
     bad = [r for r in reports if not r.ok]
     assert not bad, "\n".join(str(r) for r in bad)
     return reports
-
-
-def _cell_parts(cell) -> Tuple[str, int, Dict[str, object]]:
-    if isinstance(cell, dict):
-        kwargs = dict(cell)
-        return kwargs.pop("policy"), kwargs.pop("capacity"), kwargs
-    parts = tuple(cell)
-    if len(parts) == 3:
-        return parts[0], parts[1], dict(parts[2] or {})
-    return parts[0], parts[1], {}
 
 
 def check_multi_policy(
@@ -373,12 +367,11 @@ def check_multi_policy(
     :class:`ConfigurationError` when a cell has no kernel (gate with
     :func:`repro.core.fast.multi_policy_supported`).
     """
-    cells = list(cells)
+    cells = _normalize_cells(cells)
     record: Dict[int, List[int]] = {}
     results = multi_policy_replay(cells, trace, record=record)
     reports: List[ConformanceReport] = []
-    for i, cell in enumerate(cells):
-        name, capacity, kwargs = _cell_parts(cell)
+    for i, (name, capacity, kwargs) in enumerate(cells):
         ref_policy = make_policy(name, capacity, trace.mapping, **kwargs)
         ref_result, ref_codes = referee_outcomes(
             ref_policy, trace, cross_check_every=cross_check_every
@@ -388,14 +381,9 @@ def check_multi_policy(
             capacity=capacity,
             accesses=ref_result.accesses,
         )
-        for fname in RESULT_FIELDS:
-            ref_val = getattr(ref_result, fname)
-            batch_val = getattr(results[i], fname)
-            if ref_val != batch_val:
-                report.mismatches.append(
-                    f"SimResult.{fname}: referee={ref_val!r} "
-                    f"multi-policy={batch_val!r}"
-                )
+        report.mismatches.extend(
+            _diff_results(ref_result, results[i], "referee", "multi-policy")
+        )
         report.mismatches.extend(_diff_streams(ref_codes, record[i]))
         reports.append(report)
     return reports
@@ -460,13 +448,9 @@ def check_mmap_conformance(
     if mmap_result is None:
         report.mismatches.append("mmap replay took no fast kernel")
         return report
-    for fname in RESULT_FIELDS:
-        mem_val = getattr(mem_result, fname)
-        mmap_val = getattr(mmap_result, fname)
-        if mem_val != mmap_val:
-            report.mismatches.append(
-                f"SimResult.{fname}: in-memory={mem_val!r} mmap={mmap_val!r}"
-            )
+    report.mismatches.extend(
+        _diff_results(mem_result, mmap_result, "in-memory", "mmap")
+    )
     report.mismatches.extend(_diff_streams(mem_codes, mmap_codes))
     if mmap_loads != mem_loads:
         report.mismatches.append("per-miss loads differ between in-memory and mmap")

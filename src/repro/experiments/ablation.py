@@ -16,21 +16,22 @@ Four studies, each pinned to a paper claim:
    20 cells including the parameterized variants — on mixed traffic,
    replayed in one single-pass ``multi_policy_replay`` traversal.
 
-Every trace-driven study accepts an optional
-:class:`~repro.campaign.CampaignCache`; with one, simulations are
-memoized by content address and the whole ablation becomes resumable.
+Every trace-driven study accepts a
+:class:`~repro.campaign.CampaignCache`; with one over a campaign
+directory, simulations are memoized by content address and the whole
+ablation becomes resumable.
 The a-threshold sweep is adaptive-adversarial (no trace to fingerprint)
 and always runs live.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.adversary import GeneralAdversary
 from repro.analysis.competitive import measure_adversarial
 from repro.analysis.tables import format_table
-from repro.campaign.integrate import CampaignCache, cached_serve, cached_simulate
+from repro.campaign.integrate import UNCACHED, CampaignCache
 from repro.workloads import hot_and_stream
 
 __all__ = [
@@ -46,7 +47,7 @@ __all__ = [
 
 
 def _serving_columns(
-    cache: Optional[CampaignCache],
+    cache: CampaignCache,
     policy: str,
     capacity: int,
     trace,
@@ -58,14 +59,12 @@ def _serving_columns(
     ``serving`` is a :class:`repro.serving.ServingConfig` (or dict
     form) — ``None`` keeps the row offline-only, so existing tables are
     byte-identical unless serving is requested.  Runs through
-    :func:`cached_serve`, so with a campaign cache the request-level
-    runs memoize alongside the offline cells.
+    :meth:`CampaignCache.serve`, so with a campaign cache the
+    request-level runs memoize alongside the offline cells.
     """
     if serving is None:
         return {}
-    result = cached_serve(
-        cache, policy, capacity, trace, serving, **policy_kwargs
-    )
+    result = cache.serve(policy, capacity, trace, serving, **policy_kwargs)
     return {"p50_sojourn": result.p50, "p99_sojourn": result.p99}
 
 
@@ -73,7 +72,7 @@ def layer_order(
     k: int = 256,
     B: int = 8,
     length: int = 60_000,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
     serving=None,
 ) -> List[Dict[str, float]]:
     """§5.1: item-first vs block-first layering on pollution traffic.
@@ -123,7 +122,7 @@ def layer_order(
         {"generator": "layer_order_pollution"},
     )
     names = ("iblp", "iblp-blockfirst")
-    results = cached_simulate(cache, [(name, k) for name in names], trace)
+    results = cache.simulate_many([(name, k) for name in names], trace)
     rows = []
     for name, res in zip(names, results):
         rows.append(
@@ -168,7 +167,7 @@ def eviction_granularity(
     B: int = 8,
     length: int = 60_000,
     seed: int = 5,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
     serving=None,
 ) -> List[Dict[str, float]]:
     """§4.4: item-granularity eviction vs block eviction on sparse reuse.
@@ -191,7 +190,7 @@ def eviction_granularity(
     trace = Trace(items, mapping, {"generator": "one_hot_per_block"})
     cells = [("block-lru", k, {}), ("athreshold-lru", k, {"a": 1}), ("iblp", k, {})]
     rows = []
-    for (name, _k, kwargs), res in zip(cells, cached_simulate(cache, cells, trace)):
+    for (name, _k, kwargs), res in zip(cells, cache.simulate_many(cells, trace)):
         rows.append(
             {
                 "study": "eviction_granularity",
@@ -253,7 +252,7 @@ def gcm_variants(
     B: int = 8,
     length: int = 60_000,
     seed: int = 9,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
     serving=None,
 ) -> List[Dict[str, float]]:
     """§6: GCM vs block-oblivious marking vs mark-everything."""
@@ -266,7 +265,7 @@ def gcm_variants(
         seed=seed,
     )
     names = ("gcm", "gcm-markall", "marking-lru")
-    results = cached_simulate(cache, [(name, k) for name in names], trace)
+    results = cache.simulate_many([(name, k) for name in names], trace)
     rows = []
     for name, res in zip(names, results):
         rows.append(
@@ -308,7 +307,7 @@ def policy_matrix(
     B: int = 8,
     length: int = 60_000,
     seed: int = 9,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
     serving=None,
 ) -> List[Dict[str, float]]:
     """The headline comparison: every policy family on mixed traffic.
@@ -329,7 +328,7 @@ def policy_matrix(
         seed=seed,
     )
     cells = matrix_cells(k=k)
-    results = cached_simulate(cache, cells, trace)
+    results = cache.simulate_many(cells, trace)
     rows = []
     for cell, res in zip(cells, results):
         name = cell[0]
@@ -356,14 +355,15 @@ def policy_matrix(
 def render(
     k: int = 256,
     B: int = 8,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
     serving=None,
 ) -> str:
     """All ablations, formatted.
 
-    With ``cache``, the trace-driven studies are memoized (and a rerun
-    after a crash recomputes only what is missing); the adversarial
-    a-threshold sweep always executes live.  With ``serving`` (a
+    With a ``cache`` over a campaign directory, the trace-driven
+    studies are memoized (and a rerun after a crash recomputes only
+    what is missing); the adversarial a-threshold sweep always
+    executes live.  With ``serving`` (a
     :class:`repro.serving.ServingConfig` or dict), the single-capacity
     studies gain p50/p99 sojourn columns from request-level runs.
     """

@@ -34,8 +34,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.campaign.integrate import CampaignCache
-from repro.cluster import ClusterSpec, replay_multitenant
+from repro.campaign.integrate import UNCACHED, CampaignCache
+from repro.cluster import ClusterSpec
 from repro.core.trace import Trace
 from repro.workloads import markov_spatial, zipf_items
 
@@ -92,33 +92,16 @@ def run(
     scheme: str = "block",
     tenants: Optional[Mapping[str, Trace]] = None,
     fast: bool = True,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
 ) -> List[Dict[str, Any]]:
     """One row per configuration: cluster-wide and per-tenant taxonomy."""
     tenants = dict(tenants) if tenants is not None else default_tenants()
     spec = ClusterSpec(n_shards=n_shards, scheme=scheme)
     rows: List[Dict[str, Any]] = []
     for name, mode, policy, overrides in CONFIGS:
-        if cache is not None:
-            result = cache.cluster_multitenant(
-                tenants,
-                mode,
-                policy,
-                capacity,
-                spec,
-                policies=overrides,
-                fast=fast,
-            )
-        else:
-            result = replay_multitenant(
-                tenants,
-                mode,
-                policy,
-                capacity,
-                spec,
-                policies=overrides,
-                fast=fast,
-            )
+        result = cache.cluster_multitenant(
+            tenants, mode, policy, capacity, spec, policies=overrides, fast=fast
+        )
         row: Dict[str, Any] = {
             "config": name,
             "mode": mode,
@@ -142,7 +125,7 @@ def render(
     capacity: int = 256,
     n_shards: int = 4,
     scheme: str = "block",
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
     **kwargs: Any,
 ) -> str:
     """Formatted four-configuration isolation table."""

@@ -12,7 +12,7 @@ Poisson arrival rate (rates are expressed as a fraction of the
 single-server service capacity a policy-agnostic all-miss run would
 have, so the sweep brackets saturation for every service model).  All
 randomness is seeded, so rows are bit-identical across runs; with a
-``cache`` (a campaign directory) each (policy × rate) cell is
+``cache`` over a campaign directory each (policy × rate) cell is
 content-addressed — including the serving config — and a killed sweep
 resumes without recomputation.
 """
@@ -22,11 +22,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.tables import format_table
-from repro.campaign.integrate import CampaignCache
+from repro.campaign.integrate import UNCACHED, CampaignCache
 from repro.cluster import ClusterSpec
-from repro.cluster.serving_bridge import serve_cluster
 from repro.core.trace import Trace
-from repro.serving import ArrivalSpec, ServiceModel, ServingConfig, serve_policy
+from repro.serving import ArrivalSpec, ServiceModel, ServingConfig
 from repro.workloads import markov_spatial
 
 __all__ = ["run", "render", "default_trace", "serving_config"]
@@ -85,7 +84,7 @@ def run(
     concurrency: int = 4,
     arrival_seed: int = 1,
     clusters: Optional[Sequence[ClusterSpec]] = None,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
 ) -> List[Dict[str, Any]]:
     """Latency-vs-load grid: one row per (load × policy [× cluster]).
 
@@ -120,17 +119,10 @@ def run(
         for policy in policies:
             for spec in variants:
                 if spec is None:
-                    if cache is not None:
-                        result = cache.serve(policy, capacity, trace, config)
-                    else:
-                        result = serve_policy(policy, capacity, trace, config)
-                elif cache is not None:
+                    result = cache.serve(policy, capacity, trace, config)
+                else:
                     result = cache.cluster(
                         policy, capacity, trace, spec, serving=config
-                    )
-                else:
-                    result = serve_cluster(
-                        policy, capacity, trace, spec, config
                     )
                 row = {
                     "load": load,
@@ -157,7 +149,7 @@ def render(
     capacity: int = 256,
     loads: Sequence[float] = DEFAULT_LOADS,
     policies: Sequence[str] = DEFAULT_POLICIES,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
     **kwargs: Any,
 ) -> str:
     """Formatted latency-vs-load table."""

@@ -13,7 +13,7 @@ rates:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.adversary import LocalityAdversary
 from repro.analysis.tables import format_table
@@ -21,7 +21,7 @@ from repro.bounds.locality import (
     fault_rate_lower,
     iblp_fault_rate_upper,
 )
-from repro.campaign.integrate import CampaignCache, cached_simulate
+from repro.campaign.integrate import UNCACHED, CampaignCache
 from repro.locality.functions import PolynomialLocality
 from repro.locality.generator import phase_trace
 from repro.locality.profile import profile_trace
@@ -35,7 +35,7 @@ def run(
     B: int = 4,
     p: float = 2.0,
     phases: int = 4,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
     serving=None,
 ) -> List[Dict[str, float]]:
     """Adversarial + generated traces across the three spatial regimes.
@@ -92,7 +92,7 @@ def run(
         )
         profile = profile_trace(trace)
         emp = profile.to_bounds()
-        (res,) = cached_simulate(cache, [("iblp", k)], trace)
+        (res,) = cache.simulate_many([("iblp", k)], trace)
         row = {
             "regime": label,
             "gamma": gamma,
@@ -105,9 +105,7 @@ def run(
             ),
         }
         if serving is not None:
-            from repro.campaign.integrate import cached_serve
-
-            served = cached_serve(cache, "iblp", k, trace, serving)
+            served = cache.serve("iblp", k, trace, serving)
             row["p50_sojourn"] = served.p50
             row["p99_sojourn"] = served.p99
         rows.append(row)
@@ -119,7 +117,7 @@ def render(
     B: int = 4,
     p: float = 2.0,
     phases: int = 4,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
     serving=None,
 ) -> str:
     """Formatted locality-validation table."""

@@ -19,13 +19,13 @@ known caching problems".  Two demonstrations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from scipy.optimize import brentq
 
 from repro.analysis.tables import format_table
 from repro.bounds.upper import iblp_optimal_item_layer, iblp_ratio
-from repro.campaign.integrate import CampaignCache, cached_simulate
+from repro.campaign.integrate import UNCACHED, CampaignCache
 from repro.core.engine import simulate
 from repro.errors import SolverError
 from repro.workloads import hot_and_stream
@@ -86,7 +86,7 @@ def empirical_flip(
     B: int = 8,
     length: int = 50_000,
     seed: int = 17,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
 ) -> List[Dict[str, float]]:
     """Measured ranking of two splits flips across locality regimes.
 
@@ -122,7 +122,7 @@ def empirical_flip(
     rows: List[Dict[str, float]] = []
     for wname, trace in traces.items():
         cells = [("iblp", k, {"item_layer_size": i}) for i in splits.values()]
-        results = cached_simulate(cache, cells, trace)
+        results = cache.simulate_many(cells, trace)
         for (sname, i), res in zip(splits.items(), results):
             rows.append(
                 {
@@ -196,7 +196,7 @@ def adaptive_hedge(
     B: int = 8,
     length: int = 50_000,
     seed: int = 17,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
 ) -> List[Dict[str, float]]:
     """The extension answer to §5.3: an adaptive split hedges both regimes.
 
@@ -246,7 +246,7 @@ def adaptive_hedge(
 
 
 def render(
-    k: int = 256, B: int = 8, cache: Optional[CampaignCache] = None
+    k: int = 256, B: int = 8, cache: CampaignCache = UNCACHED
 ) -> str:
     """Both demonstrations, formatted (simulations memoized via ``cache``)."""
     cross = bounds_crossing()

@@ -16,9 +16,10 @@ clusters of growing shard count under both hash schemes and track
   granularity (slightly lumpier), striping balances items near
   perfectly while splitting every block it can.
 
-All rows are seeded and content-addressable; with a ``cache`` each
-(policy × shards × scheme) cell memoizes through the campaign store,
-so re-renders and interrupted sweeps recompute nothing.
+All rows are seeded and content-addressable; with a ``cache`` over a
+campaign directory each (policy × shards × scheme) cell memoizes
+through the campaign store, so re-renders and interrupted sweeps
+recompute nothing.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.tables import format_table
-from repro.campaign.integrate import CampaignCache
-from repro.cluster import ClusterSpec, replay_cluster
+from repro.campaign.integrate import UNCACHED, CampaignCache
+from repro.cluster import ClusterSpec
 from repro.core.trace import Trace
 from repro.workloads import markov_spatial
 
@@ -64,7 +65,7 @@ def run(
     policies: Sequence[str] = DEFAULT_POLICIES,
     trace: Optional[Trace] = None,
     fast: bool = True,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
 ) -> List[Dict[str, Any]]:
     """The shard-count curve: one row per (scheme × shards × policy).
 
@@ -79,17 +80,10 @@ def run(
     for scheme in schemes:
         for n_shards in shards:
             spec = ClusterSpec(n_shards=n_shards, scheme=scheme)
-            by_policy: Dict[str, Any] = {}
-            for policy in policies:
-                if cache is not None:
-                    result = cache.cluster(
-                        policy, capacity, trace, spec, fast=fast
-                    )
-                else:
-                    result = replay_cluster(
-                        policy, capacity, trace, spec, fast=fast
-                    )
-                by_policy[policy] = result
+            by_policy: Dict[str, Any] = {
+                policy: cache.cluster(policy, capacity, trace, spec, fast=fast)
+                for policy in policies
+            }
             for policy in policies:
                 result = by_policy[policy]
                 row = {
@@ -116,7 +110,7 @@ def render(
     shards: Sequence[int] = DEFAULT_SHARDS,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     policies: Sequence[str] = DEFAULT_POLICIES,
-    cache: Optional[CampaignCache] = None,
+    cache: CampaignCache = UNCACHED,
     **kwargs: Any,
 ) -> str:
     """Formatted spatial-degradation table."""

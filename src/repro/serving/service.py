@@ -124,14 +124,20 @@ class ServiceModel:
         if self.size_scale <= 0 or self.size_shape <= 0:
             raise ConfigurationError("size_scale and size_shape must be > 0")
 
-    def mean_time(self, kind: HitKind, loaded: int) -> float:
-        """Mean service time for one classified access."""
-        if kind is HitKind.MISS:
-            return self.t_hit + self.t_miss + self.t_item * max(0, loaded - 1)
-        return self.t_hit
+    def sample(
+        self, kind: HitKind, extra_weight: float, rng: np.random.Generator
+    ) -> float:
+        """Service time for one classified access.
 
-    def sample(self, kind: HitKind, loaded: int, rng: np.random.Generator) -> float:
-        mean = self.mean_time(kind, loaded)
+        ``extra_weight`` is the transfer weight of the items a miss
+        loaded beyond the requested one: their count,
+        ``max(0, loaded - 1)``, under fixed sizes, or their summed
+        :meth:`item_weights` under ETC sizes.  Hits ignore it.
+        """
+        if kind is HitKind.MISS:
+            mean = self.t_hit + self.t_miss + self.t_item * extra_weight
+        else:
+            mean = self.t_hit
         if self.dist == "deterministic":
             return mean
         return float(rng.exponential(mean)) if mean > 0 else 0.0
@@ -155,18 +161,6 @@ class ServiceModel:
             shape=self.size_shape,
         )
         return sizes / sizes.mean()
-
-    def sample_weighted(
-        self, kind: HitKind, extra_weight: float, rng: np.random.Generator
-    ) -> float:
-        """Like :meth:`sample`, with the extra-item cost pre-weighted."""
-        if kind is HitKind.MISS:
-            mean = self.t_hit + self.t_miss + self.t_item * extra_weight
-        else:
-            mean = self.t_hit
-        if self.dist == "deterministic":
-            return mean
-        return float(rng.exponential(mean)) if mean > 0 else 0.0
 
     def as_dict(self) -> Dict[str, Any]:
         out = {
@@ -686,12 +680,14 @@ def _kernel_steps(
     assert sim is not None  # _referee_reason vetted the kernel
     kinds = [_CODE_KINDS[code] for code in codes]
     miss_loads = iter(loads)
-    loaded = [next(miss_loads) if code == KIND_MISS else 0 for code in codes]
+    extra = [
+        max(0, next(miss_loads) - 1) if code == KIND_MISS else 0 for code in codes
+    ]
     sample = model.sample
 
     def step(index: int) -> Tuple[HitKind, float]:
         kind = kinds[index]
-        return kind, sample(kind, loaded[index], service_rng)
+        return kind, sample(kind, extra[index], service_rng)
 
     return sim, kinds, step
 
@@ -710,7 +706,7 @@ def _referee_step(
         kind = engine.access(items[index])
         if item_weights is None:
             loaded = engine.result.loaded_items - loaded_before
-            return kind, model.sample(kind, loaded, service_rng)
+            return kind, model.sample(kind, max(0, loaded - 1), service_rng)
         # Size-aware transfer cost: weigh each side-loaded item by its
         # (normalized) value size instead of counting it as 1.
         extra = 0.0
@@ -720,7 +716,7 @@ def _referee_step(
             for loaded_item in outcome.loaded:
                 if loaded_item != requested:
                     extra += float(item_weights[loaded_item])
-        return kind, model.sample_weighted(kind, extra, service_rng)
+        return kind, model.sample(kind, extra, service_rng)
 
     return step
 

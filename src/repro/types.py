@@ -168,17 +168,26 @@ class SimResult:
         """Combine two results (e.g. from trace shards) into one."""
         if self.policy != other.policy or self.capacity != other.capacity:
             raise ValueError("cannot merge results from different configurations")
-        return SimResult(
-            accesses=self.accesses + other.accesses,
-            misses=self.misses + other.misses,
-            temporal_hits=self.temporal_hits + other.temporal_hits,
-            spatial_hits=self.spatial_hits + other.spatial_hits,
-            loaded_items=self.loaded_items + other.loaded_items,
-            evicted_items=self.evicted_items + other.evicted_items,
+        merged = SimResult(
             policy=self.policy,
             capacity=self.capacity,
             metadata={**self.metadata, **other.metadata},
         )
+        return merged.add_counts(self).add_counts(other)
+
+    def add_counts(self, other: "SimResult") -> "SimResult":
+        """Add ``other``'s six counters into this result; returns it.
+
+        Policy, capacity and metadata stay as they are, so a merge
+        keeps whatever identity its caller gave the total.
+        """
+        self.accesses += other.accesses
+        self.misses += other.misses
+        self.temporal_hits += other.temporal_hits
+        self.spatial_hits += other.spatial_hits
+        self.loaded_items += other.loaded_items
+        self.evicted_items += other.evicted_items
+        return self
 
 
 #: Convenience tuple describing the three Table 1 comparison settings.

@@ -418,3 +418,58 @@ class TestCampaignCache:
             cache.simulate("item-lru", 16, trace, fast=True)
         assert cache.hits == 1
         assert cache.computed == 0
+
+    @staticmethod
+    def _served_and_sharded():
+        from repro.campaign import CellSpec
+        from repro.cluster import ClusterSpec
+        from repro.serving import ArrivalSpec, ServingConfig
+
+        serving = ServingConfig(arrival=ArrivalSpec(rate=0.05), concurrency=2)
+        cluster = ClusterSpec(n_shards=2, scheme="item")
+        cells = [
+            CellSpec("iblp", 16, "u", fast=False, serving=serving.as_dict()),
+            CellSpec("iblp", 16, "u", cluster=cluster.as_dict()),
+            CellSpec(
+                "item-lru",
+                16,
+                "u",
+                fast=False,
+                serving=serving.as_dict(),
+                cluster=cluster.as_dict(),
+            ),
+        ]
+        spec = CampaignSpec(name="t", traces={"u": TRACE}, cells=cells)
+
+        def through_cache(cache, trace):
+            return [
+                cache.serve("iblp", 16, trace, serving),
+                cache.cluster("iblp", 16, trace, cluster),
+                cache.cluster("item-lru", 16, trace, cluster, serving=serving),
+            ]
+
+        return spec, through_cache
+
+    def test_runner_serving_and_cluster_cells_hit_the_cache(self, tmp_path):
+        spec, through_cache = self._served_and_sharded()
+        with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+            report = runner.run()
+        assert report.computed == 3
+        with CampaignCache(tmp_path, store_sync=False) as cache:
+            got = through_cache(cache, TRACE.materialize())
+        assert cache.hits == 3 and cache.computed == 0
+        assert [r.fields() for r in got] == [
+            o.result.fields() for o in report.outcomes
+        ]
+
+    def test_cache_serving_and_cluster_cells_hit_the_runner(self, tmp_path):
+        spec, through_cache = self._served_and_sharded()
+        with CampaignCache(tmp_path, store_sync=False) as cache:
+            got = through_cache(cache, TRACE.materialize())
+        assert cache.computed == 3
+        with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+            report = runner.run()
+        assert report.memo_hits == 3 and report.computed == 0
+        assert [o.result.fields() for o in report.outcomes] == [
+            r.fields() for r in got
+        ]

@@ -325,8 +325,8 @@ def test_campaign_simulate_many_computes_repeated_cells_once(trace, tmp_path):
 
 
 def test_campaign_simulate_many_falls_back_per_cell(trace, tmp_path):
-    """A kernel-less cell in the batch degrades to per-cell simulate
-    (still memoized) instead of raising."""
+    """A kernel-less cell in the batch runs on its own through the
+    referee (still memoized) instead of raising."""
     from repro.campaign.integrate import CampaignCache
 
     cells = [("item-lru", 8), ("belady-item", 8)]
