@@ -11,6 +11,12 @@ gate watches.  The run also re-asserts the conformance invariant
 criterion: IBLP's p99 beats item-LRU's p99 on this workload at this
 load (reported as the machine-independent ``p99_separation`` ratio).
 
+Now that default serving runs on the fast kernels and the array form,
+the run also times the same ``serve()`` forced onto the referee engine
+and the event loop (``engine=Engine(...)``) and reports
+``fast_serving_speedup = engine_serving_seconds / serving_seconds``,
+re-asserting that both give the same result payload.
+
 Writes ``BENCH_serving.json`` through the flight-recorder harness.
 
 Knobs (env vars, so CI can shrink the run):
@@ -30,7 +36,7 @@ import pytest
 
 from _harness import metric, write_bench
 from repro.campaign.runner import result_fields
-from repro.core.engine import simulate
+from repro.core.engine import Engine, simulate
 from repro.policies import make_policy
 from repro.serving import ArrivalSpec, ServiceModel, ServingConfig, serve
 from repro.workloads import markov_spatial
@@ -81,7 +87,22 @@ def test_serving_overhead_gate(bench_trace, out_dir):
     _, rival = _timed_serve("item-lru", bench_trace)
     separation = rival.p99 / served.p99
 
+    # The same serving run forced onto the referee engine and the event
+    # loop: the slow path the fast one must equal.
+    t0 = time.perf_counter()
+    slow = serve(
+        None,
+        bench_trace,
+        bench_config(),
+        engine=Engine(
+            make_policy("iblp", CAPACITY, bench_trace.mapping), bench_trace.mapping
+        ),
+    )
+    t_engine = time.perf_counter() - t0
+    assert slow.fields() == served.fields()
+
     overhead = t_serve / t_referee
+    speedup = t_engine / t_serve
     path = write_bench(
         "serving",
         metrics={
@@ -90,6 +111,8 @@ def test_serving_overhead_gate(bench_trace, out_dir):
             "requests_per_second": metric(LENGTH / t_serve, "req/s", "higher"),
             "overhead_vs_referee": metric(overhead, "x", "lower"),
             "p99_separation": metric(separation, "x", "higher"),
+            "engine_serving_seconds": metric(t_engine, "s", "lower"),
+            "fast_serving_speedup": metric(speedup, "x", "higher"),
         },
         extra={
             "trace_length": LENGTH,
@@ -106,7 +129,8 @@ def test_serving_overhead_gate(bench_trace, out_dir):
     print(
         f"\nserving: {LENGTH} reqs in {t_serve:.2f}s "
         f"({LENGTH / t_serve:,.0f} req/s), referee {t_referee:.2f}s, "
-        f"overhead {overhead:.2f}x, p99 separation {separation:.2f}x -> {path}"
+        f"overhead {overhead:.2f}x, p99 separation {separation:.2f}x, "
+        f"engine-path serving {t_engine:.2f}s (fast path {speedup:.1f}x) -> {path}"
     )
     assert overhead <= GATE, (
         f"serving overhead {overhead:.2f}x above the {GATE:.1f}x gate "

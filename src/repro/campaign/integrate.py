@@ -27,12 +27,13 @@ mixing both memoize the trace-driven part.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.journal import Journal
 from repro.campaign.runner import result_fields, result_from_fields, run_cell
-from repro.campaign.spec import CellSpec
+from repro.campaign.spec import CellSpec, canonical_json
 from repro.campaign.store import ResultStore
 from repro.core.trace import Trace
 from repro.types import SimResult
@@ -284,11 +285,15 @@ class CampaignCache:
         missing = [i for i in first.values() if results[i] is None]
         computed = _compute([cells[i] for i in missing], trace, compute)
         for i, result in zip(missing, computed):
-            self.store.put(digests[i], result_fields(result))
+            payload = result_fields(result)
+            self.store.put(digests[i], payload)
             self.journal.append(
                 "done", hash=digests[i], attempt=1, memo=False, source="cache"
             )
-            results[i] = result
+            # Return what a warm run reads back: the stored payload has
+            # key-sorted metadata, so cold and warm rows share one
+            # column order.
+            results[i] = result_from_fields(json.loads(canonical_json(payload)))
         for i, digest in enumerate(digests):
             if results[i] is None:  # a repeat of an earlier cell
                 results[i] = result_from_fields(result_fields(results[first[digest]]))

@@ -27,6 +27,18 @@ from repro.errors import ConfigurationError
 
 __all__ = ["LatencyHistogram"]
 
+#: Values bucketed per :meth:`LatencyHistogram.record_many` step.
+_CHUNK = 8192
+
+
+def ordered_sum(total: float, values: np.ndarray) -> float:
+    """``total + values[0] + values[1] + ...``, added left to right.
+
+    ``np.sum`` adds pairwise and the builtin ``sum`` compensates (from
+    Python 3.12); neither matches a loop of ``+=``.  ``np.cumsum`` does.
+    """
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+
 
 class LatencyHistogram:
     """Log-bucketed distribution of nonnegative latencies.
@@ -91,6 +103,43 @@ class LatencyHistogram:
             self.overflow += 1
         else:
             self.counts[index] += 1
+
+    def record_many(self, values: Any) -> None:
+        """Add observations in order; the payload equals a ``record``
+        call per value.
+
+        Buckets use :meth:`record`'s own ``math.log10`` expression
+        (``np.log10`` may land an edge value one bucket off) and land
+        in one ``bincount``; ``total`` is folded left to right, never
+        summed pairwise, so it is bit-identical to sequential
+        recording.  Work is chunked, so temporaries stay small.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        for lo in range(0, values.size, _CHUNK):
+            self._record_chunk(values[lo : lo + _CHUNK])
+
+    def _record_chunk(self, values: np.ndarray) -> None:
+        under = values < self.lo
+        ratios = (values[~under] / self.lo).tolist()
+        scaled = self.per_decade * np.fromiter(
+            map(math.log10, ratios), dtype=np.float64, count=len(ratios)
+        )
+        if not np.isfinite(scaled).all():
+            raise ValueError("cannot bucket a non-finite latency")
+        index = scaled.astype(np.int64)  # truncation, as int() does
+        inside = index < self.counts.size
+        self.count += int(values.size)
+        self.total = ordered_sum(self.total, values)
+        # argmin/argmax take the first extreme, as strict < / > updates do.
+        low = float(values[values.argmin()])
+        high = float(values[values.argmax()])
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
+        self.underflow += int(np.count_nonzero(under))
+        self.overflow += int(index.size - np.count_nonzero(inside))
+        self.counts += np.bincount(index[inside], minlength=self.counts.size)
 
     # -- reading -----------------------------------------------------------
     def bucket_edge(self, index: int) -> float:

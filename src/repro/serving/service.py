@@ -6,10 +6,12 @@ Every policy plugs in unchanged.  When the cache stream is fixed
 before the loop starts (FIFO queue, no drops, no ETC sizes, no
 recorder or caller engine) and a :mod:`repro.core.fast` kernel covers
 the policy, one kernel pass precomputes every request's hit kind and
-load-set size; otherwise the loop steps the referee
-:class:`~repro.core.engine.Engine` once per started request.  Either
-way the cache decision stream is exactly the offline one (the kernel
-path is bit-identical to the referee path); serving only adds *time*:
+service time; otherwise the loop steps the referee
+:class:`~repro.core.engine.Engine` once per started request.  With
+open-loop arrivals on the kernel path, a FIFO recurrence over arrays
+replaces the event loop too.  Every path gives the same result (the
+fast ones are bit-identical to the slow ones); the cache decision
+stream is exactly the offline one, and serving only adds *time*:
 
 * **Arrivals** (open-loop Poisson / bursty MMPP / constant, or a
   closed-loop client population) timestamp each trace request.
@@ -24,10 +26,11 @@ path is bit-identical to the referee path); serving only adds *time*:
   (``queue_limit``) and queue-wait ``timeout``.
 
 Determinism: simulated time comes from the seeded event heap
-(:mod:`repro.serving.events`) and seeded NumPy generators only — no
-wall clock anywhere — so a (policy, trace, config) triple maps to a
-bit-identical :class:`ServingResult`, including histogram payloads,
-which is what lets the campaign layer content-address serving cells.
+(:mod:`repro.serving.events`) or its array form, and seeded NumPy
+generators only — no wall clock anywhere — so a (policy, trace,
+config) triple maps to a bit-identical :class:`ServingResult`,
+including histogram payloads, which is what lets the campaign layer
+content-address serving cells.
 
 Conformance invariant (pinned by ``tests/test_serving_conformance.py``):
 with the FIFO queue and no drops (the defaults), requests start
@@ -40,6 +43,7 @@ knobs deliberately trade that equivalence for scheduling realism.
 from __future__ import annotations
 
 import contextlib
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -52,7 +56,7 @@ from repro.core.trace import Trace
 from repro.errors import ConfigurationError, ProtocolViolation
 from repro.serving.arrivals import ArrivalSpec, generate_arrivals
 from repro.serving.events import EventLoop
-from repro.serving.histograms import LatencyHistogram
+from repro.serving.histograms import LatencyHistogram, ordered_sum
 from repro.telemetry import spans
 from repro.types import HitKind, SimResult
 
@@ -515,18 +519,25 @@ def serve(
     ``size_dist="none"``, no ``recorder``, no ``engine`` — and a
     :mod:`repro.core.fast` kernel covers the policy (cold, exact
     class, equivalent mapping), one kernel pass precomputes every
-    request's hit kind and load-set size, and the event loop only
-    adds time.  The result is bit-identical to the referee path
-    (``tests/test_serving_fast.py``), and ``sim`` is the kernel's
+    request's hit kind and service time; ``sim`` is the kernel's
     :class:`SimResult`.  Everything else steps the referee ``Engine``
     once per started request.  As with ``simulate(fast=True)``,
     ``validate`` applies to the referee path only, and the kernel path
-    does not mutate ``policy``.  The ``serve`` span records the path
-    (``path="kernel"|"referee"``) and, for the referee, its
-    ``fallback_reason``: ``"engine"``, ``"observed"``, ``"sjf"``,
-    ``"drops"``, ``"etc-sizes"``, or a
-    :func:`~repro.core.fast.fast_fallback_reason` value.  To force the
-    referee, pass ``engine=Engine(policy, trace.mapping)``.
+    does not mutate ``policy``.  On the kernel path with open-loop
+    arrivals and no ``on_event``, start and finish times come from
+    arrays (:func:`_serve_arrays`) instead of the event loop, unless
+    an arrival coincides with a completion.  Every path gives the
+    same :meth:`ServingResult.fields` (``tests/test_serving_fast.py``).
+
+    The ``serve`` span records both choices: ``path="kernel"|"referee"``
+    with the referee's ``fallback_reason`` (``"engine"``,
+    ``"observed"``, ``"sjf"``, ``"drops"``, ``"etc-sizes"``, or a
+    :func:`~repro.core.fast.fast_fallback_reason` value), and
+    ``loop="array"|"events"`` with the event loop's ``loop_reason``
+    (``"on_event"``, ``"closed-loop"``, ``"tie"``, or the referee's
+    reason).  To force the referee and the loop, pass
+    ``engine=Engine(policy, trace.mapping)``; to force only the loop,
+    pass any ``on_event``.
 
     Returns a :class:`ServingResult`; the run always drains (every
     admitted request completes or is dropped before the loop ends).
@@ -541,8 +552,8 @@ def serve(
     ):
         raise ProtocolViolation("trace and policy use different block mappings")
     reason = _referee_reason(policy, trace, config, engine, recorder)
-    items: List[int] = trace.items.tolist()
-    n = len(items)
+    loop_reason = reason or _loop_reason(config, on_event)
+    n = len(trace)
     model = config.service
     service_rng = np.random.default_rng(
         np.random.SeedSequence([model.seed, 0x53455256])
@@ -550,7 +561,6 @@ def serve(
     think_rng = np.random.default_rng(
         np.random.SeedSequence([config.arrival.seed, 0x434C4F53])
     )
-    closed = not config.arrival.open_loop
 
     def _sample_think() -> float:
         think = config.arrival.think
@@ -568,8 +578,7 @@ def serve(
         fallback_reason=reason,
     ) as sp:
         if reason is None:
-            sim, kinds, step = _kernel_steps(policy, trace, model, service_rng)
-            resident = None
+            sim, codes, service = _kernel_pass(policy, trace, model, service_rng)
         else:
             if engine is None:
                 if policy.is_offline:
@@ -584,14 +593,7 @@ def serve(
                     if isinstance(v, (str, int, float))
                 }
             )
-            sim, kinds = engine.result, [None] * n
-            step = _referee_step(
-                engine, items, model, model.item_weights(trace.mapping.universe),
-                service_rng,
-            )
-            resident = engine.resident
-        if sp is not None:
-            sp.set("policy", sim.policy)
+            sim = engine.result
         result = ServingResult(
             sim=sim,
             serving=config.as_dict(),
@@ -601,29 +603,46 @@ def serve(
             },
             wait=config.new_histogram(),
         )
-        open_times: Optional[List[float]] = None
+        arrivals: Optional[np.ndarray] = None
         with spans.span("serve.arrivals", process=config.arrival.process):
-            if not closed and n:
-                open_times = generate_arrivals(config.arrival, n).tolist()
-        state = _ServeState()
-        with phase:
-            _run_loop(
-                state,
-                config,
-                step,
-                resident,
-                items,
-                kinds,
-                result,
-                _sample_think,
-                open_times,
-                on_access,
-                on_event,
-            )
-    result.duration = state.last_t
-    result.area_in_system = state.area_system
-    result.area_busy = state.area_busy
-    result.queue_peak = state.queue_peak
+            if config.arrival.open_loop and n:
+                arrivals = generate_arrivals(config.arrival, n)
+        with phase, spans.span("serve.loop", requests=n):
+            if loop_reason is None and not _serve_arrays(
+                result, config, arrivals, codes, service, trace.items, on_access
+            ):
+                loop_reason = "tie"
+            if loop_reason is not None:
+                items: List[int] = trace.items.tolist()
+                if reason is None:
+                    kinds, step = _kernel_step(codes, service)
+                    resident = None
+                else:
+                    kinds = [None] * n
+                    step = _referee_step(
+                        engine,
+                        items,
+                        model,
+                        model.item_weights(trace.mapping.universe),
+                        service_rng,
+                    )
+                    resident = engine.resident
+                _run_loop(
+                    result,
+                    config,
+                    step,
+                    resident,
+                    items,
+                    kinds,
+                    _sample_think,
+                    None if arrivals is None else arrivals.tolist(),
+                    on_access,
+                    on_event,
+                )
+        if sp is not None:
+            sp.set("policy", sim.policy)
+            sp.set("loop", "events" if loop_reason else "array")
+            sp.set("loop_reason", loop_reason)
     if recorder is not None:
         recorder.finalize(sim)
     return result
@@ -640,6 +659,10 @@ _CODE_KINDS: Tuple[HitKind, ...] = (
 #: ``index`` and its sampled service time, called once per started
 #: request, in start order.
 _Step = Callable[[int], Tuple[HitKind, float]]
+
+#: Requests per step of the array form's Python-level passes: bounds
+#: the temporaries (lists, masks, merged times) to a few chunks.
+_CHUNK = 8192
 
 
 def _referee_reason(
@@ -665,31 +688,198 @@ def _referee_reason(
     return fast_fallback_reason(policy, trace)
 
 
-def _kernel_steps(
+def _loop_reason(config: ServingConfig, on_event) -> Optional[str]:
+    """Why a kernel-path run steps the event loop, or ``None`` for the
+    array form (which can still fall back on a time ``"tie"``).
+
+    The array form needs every arrival time before the run starts and
+    emits no events.
+    """
+    if on_event is not None:
+        return "on_event"
+    if not config.arrival.open_loop:
+        return "closed-loop"
+    return None
+
+
+def _kernel_pass(
     policy, trace: Trace, model: ServiceModel, service_rng: np.random.Generator
-) -> Tuple[SimResult, List[HitKind], _Step]:
-    """One kernel pass: every request's kind and miss load, up front.
+) -> Tuple[SimResult, np.ndarray, np.ndarray]:
+    """One kernel pass: every request's outcome code and service time.
 
     FIFO with no drops starts requests in trace order, so the kernel's
-    access stream is the stream the referee would see, and service
-    times are still drawn one per start, in that same order.
+    access stream is the stream the referee would see, and drawing
+    service times in trace order draws them in start order.  The
+    deterministic model is vectorised with :meth:`ServiceModel.sample`'s
+    own arithmetic; exponential draws call it once per request.
     """
-    codes: List[int] = []
+    record: List[int] = []
     loads: List[int] = []
-    sim = fast_simulate(policy, trace, record=codes, loads=loads)
+    sim = fast_simulate(policy, trace, record=record, loads=loads)
     assert sim is not None  # _referee_reason vetted the kernel
-    kinds = [_CODE_KINDS[code] for code in codes]
-    miss_loads = iter(loads)
-    extra = [
-        max(0, next(miss_loads) - 1) if code == KIND_MISS else 0 for code in codes
-    ]
-    sample = model.sample
+    codes = np.array(record, dtype=np.int8)
+    del record
+    miss = codes == KIND_MISS
+    extra = np.zeros(codes.size, dtype=np.int64)
+    extra[miss] = np.maximum(np.array(loads, dtype=np.int64) - 1, 0)
+    if model.dist == "deterministic":
+        service = np.where(
+            miss, model.t_hit + model.t_miss + model.t_item * extra, model.t_hit
+        ).astype(np.float64)
+    else:
+        sample = model.sample
+        service = np.fromiter(
+            (
+                sample(_CODE_KINDS[code], weight, service_rng)
+                for code, weight in zip(codes.tolist(), extra.tolist())
+            ),
+            dtype=np.float64,
+            count=codes.size,
+        )
+    return sim, codes, service
+
+
+def _kernel_step(
+    codes: np.ndarray, service: np.ndarray
+) -> Tuple[List[Optional[HitKind]], _Step]:
+    """The event loop's view of a kernel pass: kinds and a step."""
+    kinds: List[Optional[HitKind]] = [_CODE_KINDS[code] for code in codes.tolist()]
+    times = memoryview(service)  # indexes to Python floats, no copy
 
     def step(index: int) -> Tuple[HitKind, float]:
-        kind = kinds[index]
-        return kind, sample(kind, extra[index], service_rng)
+        return kinds[index], times[index]
 
-    return sim, kinds, step
+    return kinds, step
+
+
+def _serve_arrays(
+    result: ServingResult,
+    config: ServingConfig,
+    arrivals: Optional[np.ndarray],
+    codes: np.ndarray,
+    service: np.ndarray,
+    items: np.ndarray,
+    on_access: Optional[Callable[[int, int, HitKind], None]],
+) -> bool:
+    """The event loop's result for open-loop FIFO, computed from arrays.
+
+    Request ``i`` starts at ``max(a_i, earliest free server)`` — the
+    FIFO G/G/c recurrence over a ``concurrency``-entry heap of server
+    free times.  Every fold keeps the loop's order, so float sums are
+    bit-identical: waits and service times in start order (trace
+    order), sojourns in completion order (finish time, then index —
+    the heap's insertion tiebreak, since completions are scheduled in
+    start order), Little's-law areas in event-time order.
+
+    The loop orders an arrival and a completion at the same instant by
+    heap insertion, which the arrays do not model; on such a tie this
+    returns ``False`` with ``result`` untouched, and the caller runs
+    the event loop instead.
+    """
+    n = len(service)
+    if not n:
+        return True
+    assert arrivals is not None
+    starts = np.empty(n)
+    finishes = np.empty(n)
+    free = [0.0] * config.concurrency
+    for lo in range(0, n, _CHUNK):
+        begun: List[float] = []
+        ended: List[float] = []
+        for arrive, duration in zip(
+            arrivals[lo : lo + _CHUNK].tolist(), service[lo : lo + _CHUNK].tolist()
+        ):
+            begin = free[0]
+            if arrive > begin:
+                begin = arrive
+            end = begin + duration
+            heapq.heapreplace(free, end)
+            begun.append(begin)
+            ended.append(end)
+        starts[lo : lo + _CHUNK] = begun
+        finishes[lo : lo + _CHUNK] = ended
+    order = np.argsort(finishes, kind="stable")
+    ends = finishes[order]
+    del finishes
+    for lo in range(0, n, _CHUNK):
+        arrive = arrivals[lo : lo + _CHUNK]
+        at = np.minimum(np.searchsorted(ends, arrive), n - 1)
+        if (ends[at] == arrive).any():
+            return False
+
+    if on_access is not None:
+        for lo in range(0, n, _CHUNK):
+            for index, item, code in zip(
+                range(lo, lo + _CHUNK),
+                items[lo : lo + _CHUNK].tolist(),
+                codes[lo : lo + _CHUNK].tolist(),
+            ):
+                on_access(index, item, _CODE_KINDS[code])
+    by_code = [result.latency_by_kind[KIND_KEYS[kind]] for kind in _CODE_KINDS]
+    peak = 0
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        # Start (trace) order: waits, service, and the queue length
+        # each arrival leaves behind (requests arrived, not started).
+        arrive = arrivals[lo:hi]
+        wait = starts[lo:hi] - arrive
+        result.wait.record_many(wait)
+        result.wait_sum = ordered_sum(result.wait_sum, wait)
+        result.service_sum = ordered_sum(result.service_sum, service[lo:hi])
+        queued = np.arange(lo + 1, hi + 1) - np.searchsorted(
+            starts, arrive, side="right"
+        )
+        peak = max(peak, int(queued.max()))
+        # Completion order: sojourns.
+        done = order[lo:hi]
+        sojourn = ends[lo:hi] - arrivals[done]
+        result.sojourn_sum = ordered_sum(result.sojourn_sum, sojourn)
+        result.latency.record_many(sojourn)
+        done_codes = codes[done]
+        for code, hist in enumerate(by_code):
+            hist.record_many(sojourn[done_codes == code])
+    result.arrivals = result.completions = n
+    result.queue_peak = peak
+    result.duration = float(ends[-1])
+    result.area_in_system, result.area_busy = _areas(arrivals, starts, ends)
+    return True
+
+
+def _areas(
+    arrivals: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> Tuple[float, float]:
+    """``(∫N dt, ∫busy dt)`` as the loop folds them (all inputs sorted).
+
+    Counts are constant between distinct event times; at each one the
+    loop adds ``count * dt`` with the count from just before it, i.e.
+    the requests that arrived (started) minus those that finished
+    strictly earlier.  Time is walked in windows of at most a chunk of
+    arrivals and a chunk of completions, cut at a common time, so
+    distinct times never straddle two windows.
+    """
+    n = len(arrivals)
+    area_system = area_busy = 0.0
+    last = 0.0
+    i = j = 0
+    while i < n or j < n:
+        cut = min(
+            arrivals[min(i + _CHUNK, n) - 1] if i < n else np.inf,
+            ends[min(j + _CHUNK, n) - 1] if j < n else np.inf,
+        )
+        i_next = int(np.searchsorted(arrivals, cut, side="right"))
+        j_next = int(np.searchsorted(ends, cut, side="right"))
+        times = np.unique(np.concatenate((arrivals[i:i_next], ends[j:j_next])))
+        finished = np.searchsorted(ends, times)
+        dt = np.diff(times, prepend=last)
+        area_system = ordered_sum(
+            area_system, (np.searchsorted(arrivals, times) - finished) * dt
+        )
+        area_busy = ordered_sum(
+            area_busy, (np.searchsorted(starts, times) - finished) * dt
+        )
+        last = times[-1]
+        i, j = i_next, j_next
+    return area_system, area_busy
 
 
 def _referee_step(
@@ -722,23 +912,23 @@ def _referee_step(
 
 
 def _run_loop(
-    state: _ServeState,
+    result: ServingResult,
     config: ServingConfig,
     step: _Step,
     resident,
     items: List[int],
     kinds: List[Optional[HitKind]],
-    result: ServingResult,
     sample_think: Callable[[], float],
     open_times: Optional[List[float]],
     on_access: Optional[Callable[[int, int, HitKind], None]],
     on_event: Optional[Callable[[str, float, int], None]],
 ) -> None:
-    """The event loop body (split out to keep :func:`serve` readable).
+    """The event loop: every config, and the oracle for the array form.
 
     ``resident`` is the referee's live residency view, read only by
     the SJF queue (``None`` on the kernel path, which never runs SJF).
     """
+    state = _ServeState()
     loop = EventLoop()
     n = len(items)
     arrival_time: List[float] = [0.0] * n
@@ -868,16 +1058,19 @@ def _run_loop(
             assert open_times is not None
             loop.schedule(open_times[0], "arr", 0)
 
-    with spans.span("serve.loop", requests=n):
-        while True:
-            event = loop.pop()
-            if event is None:
-                break
-            _, tag, payload = event
-            if tag == "arr":
-                handle_arrival(payload)
-            else:
-                handle_done(payload)
+    while True:
+        event = loop.pop()
+        if event is None:
+            break
+        _, tag, payload = event
+        if tag == "arr":
+            handle_arrival(payload)
+        else:
+            handle_done(payload)
+    result.duration = state.last_t
+    result.area_in_system = state.area_system
+    result.area_busy = state.area_busy
+    result.queue_peak = state.queue_peak
 
 
 def serve_policy(

@@ -14,11 +14,15 @@ Pins four things:
   deterministic.
 * **Board labels** — cluster cells identify themselves on the
   status/watch boards via :meth:`CellSpec.mode_label`.
+* **Cold == warm output** — ``cluster run --campaign-dir`` prints the
+  same table, column order included, whether it computed the cell or
+  read it back from the store.
 """
 
 from repro.campaign import CampaignCache, CampaignSpec, TraceSpec
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CellSpec, cell_hash
+from repro.cli.main import main
 from repro.cluster import ClusterSpec
 from repro.experiments import isolation, spatial_degradation
 
@@ -166,3 +170,17 @@ def test_mode_label_composition():
         == "cluster[4×item]+serving"
     )
     assert CellSpec(**base, serving=serving).mode_label() == "serving"
+
+
+def test_cluster_run_prints_the_same_table_cold_and_warm(tmp_path, capsys):
+    argv = [
+        "cluster", "run", "--policy", "iblp", "--capacity", "64",
+        "--workload", "markov", "--length", "2000",
+        "--campaign-dir", str(tmp_path / "campaign"),
+    ]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    assert "seed" in cold and "stay" in cold
+    assert warm == cold
