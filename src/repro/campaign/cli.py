@@ -327,7 +327,7 @@ def collect_rows(directory: str | Path) -> List[Dict[str, Any]]:
         for key, tspec in spec.traces.items()
     }
     rows: List[Dict[str, Any]] = []
-    with ResultStore(directory) as store:
+    with ResultStore(directory, readonly=True) as store:
         for cell, digest in zip(spec.cells, spec.digests(fingerprints)):
             stored = store.get(digest)
             if stored is None:
@@ -357,7 +357,7 @@ def _status(directory: str) -> tuple:
     rows = []
     done = 0
     stuck = 0
-    with ResultStore(directory) as store:
+    with ResultStore(directory, readonly=True) as store:
         digests = spec.digests(fingerprints)
         for index, (cell, digest) in enumerate(zip(spec.cells, digests)):
             stored = digest in store

@@ -16,10 +16,15 @@ A crash between (1) and (2) leaves an unindexed-but-complete line,
 re-indexed by the reconcile scan on next open.  A crash *during* (1)
 leaves a torn line with no trailing newline; reconcile truncates it
 (it was never indexed, so nothing is lost) so later appends cannot
-fuse with it.  First write wins: :meth:`put` refuses to overwrite an
-existing hash, which is what makes resumed campaigns bit-identical to
-uninterrupted ones — a recomputed cell can never replace the row an
-earlier attempt already committed.
+fuse with it.  A read-only store (``readonly=True``, what ``campaign
+status``/``export`` open) never repairs: it indexes complete-but-
+unindexed rows in memory only and leaves a torn tail alone, since on
+a live campaign that tail is the runner's in-flight append.
+
+First write wins: :meth:`put` refuses to overwrite an existing hash,
+which is what makes resumed campaigns bit-identical to uninterrupted
+ones — a recomputed cell can never replace the row an earlier attempt
+already committed.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 from repro.campaign.spec import canonical_json
+from repro.errors import ConfigurationError
 
 __all__ = ["ResultStore"]
 
@@ -56,16 +62,35 @@ class ResultStore:
     sync:
         fsync each appended row before indexing it (default).  Disable
         only in tests/benches where torn-write durability is moot.
+    readonly:
+        Open for reading only: nothing in the directory is created,
+        written, truncated or re-indexed.  The SQLite index is opened
+        read-only and copied into memory, and rows the index has not
+        caught up with are indexed in that copy.  :meth:`put` raises.
     """
 
-    def __init__(self, directory: str | Path, sync: bool = True) -> None:
+    def __init__(
+        self, directory: str | Path, sync: bool = True, readonly: bool = False
+    ) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.results_path = self.directory / RESULTS_FILENAME
         self.index_path = self.directory / INDEX_FILENAME
         self.sync = sync
-        self.results_path.touch(exist_ok=True)
-        self._db = sqlite3.connect(self.index_path)
+        self.readonly = readonly
+        if readonly:
+            self._db = sqlite3.connect(":memory:")
+            if self.index_path.exists():
+                disk = sqlite3.connect(
+                    self.index_path.resolve().as_uri() + "?mode=ro", uri=True
+                )
+                try:
+                    disk.backup(self._db)
+                finally:
+                    disk.close()
+        else:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self.results_path.touch(exist_ok=True)
+            self._db = sqlite3.connect(self.index_path)
         self._db.execute(_SCHEMA)
         self._db.commit()
         #: Lookup counters exposed to campaign telemetry.
@@ -75,12 +100,16 @@ class ResultStore:
 
     # -- crash recovery ----------------------------------------------------
     def _reconcile(self) -> None:
-        """Index complete-but-unindexed rows; drop a torn tail line."""
+        """Index complete-but-unindexed rows; drop a torn tail line
+        (read-only: leave it)."""
         row = self._db.execute(
             "SELECT COALESCE(MAX(offset + length), 0) FROM cells"
         ).fetchone()
         watermark = int(row[0])
-        size = self.results_path.stat().st_size
+        try:
+            size = self.results_path.stat().st_size
+        except FileNotFoundError:  # read-only open of a campaign never run
+            size = 0
         if size < watermark:
             # The log was truncated behind the index's back (manual
             # surgery); rebuild the index from scratch.
@@ -104,7 +133,7 @@ class ResultStore:
                 offset += len(raw)
                 keep = offset
         self._db.commit()
-        if keep != size:
+        if keep != size and not self.readonly:
             with open(self.results_path, "rb+") as f:
                 f.truncate(keep)
 
@@ -146,6 +175,10 @@ class ResultStore:
 
     def put(self, cell_hash: str, payload: Dict[str, Any]) -> bool:
         """Append and index a row; ``False`` if the hash already exists."""
+        if self.readonly:
+            raise ConfigurationError(
+                f"result store {self.directory} was opened read-only"
+            )
         if cell_hash in self:
             return False
         line = (

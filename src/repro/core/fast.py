@@ -10,9 +10,10 @@ re-implementations that produce the exact same
 load-set statistics included) without constructing
 :class:`~repro.types.AccessOutcome` records, frozensets, or shadow
 validation state.  Randomized policies (GCM family, ``item-random``)
-consume the *same* :class:`numpy.random.Generator` method sequence as
-the referee, so seeded runs are bit-identical, not just statistically
-equivalent.
+consume the *same* seeded PCG64 ``integers``/``shuffle`` sequence as
+the referee's :class:`numpy.random.Generator` — drawn from one stream
+built by :func:`~repro.core.raw_stream.draw_stream` — so seeded runs
+are bit-identical, not just statistically equivalent.
 
 Correctness is not assumed — it is *proven* by the differential
 conformance harness (:mod:`repro.core.conformance` and
@@ -83,6 +84,7 @@ import numpy as np
 
 from repro.telemetry import spans
 from repro.core.mapping import FixedBlockMapping
+from repro.core.raw_stream import draw_stream, stream_kind
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
 from repro.policies.adaptive_iblp import AdaptiveIBLP
@@ -574,19 +576,20 @@ def _kernel_item_random(
     """Seeded random replacement, RNG-identical to
     :class:`~repro.policies.item_other.ItemRandom`.
 
-    One ``rng.integers(len(slots))`` draw per eviction — the same
-    method on the same :func:`numpy.random.default_rng` stream the
-    referee consumes, so any fixed seed replays bit-identically.  The
-    swap-with-last slot compaction mirrors the referee's.
+    One ``integers(len(slots))`` draw per eviction — the same draw on
+    the same seeded PCG64 stream the referee consumes (via
+    :func:`~repro.core.raw_stream.draw_stream`), so any fixed seed
+    replays bit-identically.  The swap-with-last slot compaction
+    mirrors the referee's.
     """
-    rng = np.random.default_rng(seed)
+    stream = draw_stream(seed, capacity)
     slots: List[int] = []
     resident = bytearray(ct.n_distinct)
     st = [0, 0, 0]  # misses, temporal, evicted
 
     def run(items: List[int], blocks: List[int], dense: List[int]) -> None:
         misses, temporal, evicted = st
-        integers = rng.integers
+        integers = stream.integers
         _slots, _res = slots, resident
         for it in dense:
             if _res[it]:
@@ -596,7 +599,7 @@ def _kernel_item_random(
             else:
                 misses += 1
                 if len(_slots) >= capacity:
-                    idx = int(integers(len(_slots)))
+                    idx = integers(len(_slots))
                     victim = _slots[idx]
                     last = _slots.pop()
                     if last != victim:
@@ -744,24 +747,24 @@ def _kernel_gcm(
 
     Replays :class:`~repro.policies.marking._GCMBase` verbatim on
     original item ids: the same ``sorted()`` candidate orderings, the
-    same ``rng.integers``/``rng.shuffle`` call sequence on the same
-    seeded generator, the same churn algebra (a same-block step-1
-    victim can be re-loaded as a neighbour) and the engine's
-    spatial-pending classification.  ``mark_side_loads`` selects
+    same ``integers``/``shuffle`` call sequence on the same seeded
+    PCG64 stream (:func:`~repro.core.raw_stream.draw_stream`), the
+    same churn algebra (a same-block step-1 victim can be re-loaded as
+    a neighbour) and the engine's spatial-pending classification.  ``mark_side_loads`` selects
     gcm vs gcm-markall; ``max_load`` is gcm-partial's dial.
 
     The referee materialises and sorts the candidate set per eviction
     (``sorted(res - mk)[rng.integers(n)]`` — O(k log k) per miss).
     The kernel keeps that candidate list alive instead: ``unmarked``
     is the sorted list of unmarked residents, so the victim is
-    ``unmarked.pop(rng.integers(len(unmarked)))``.  A hit on an
+    ``unmarked.pop(integers(len(unmarked)))``.  A hit on an
     unmarked item deletes it by bisection, deferred side loads are
     ``insort``-ed and a phase reset re-sorts the residents.  The draw
     bound is the same candidate count and the victim the same order
     statistic, so the draw sequence and every victim are bit-identical
     to the referee — only the cost changes (a memmove per update).
     """
-    rng = np.random.default_rng(seed)
+    stream = draw_stream(seed, capacity)
     resident: set = set()
     marked: set = set()
     pending: set = set()  # side-loaded residents not yet hit
@@ -771,7 +774,7 @@ def _kernel_gcm(
 
     def run(items: List[int], blocks: List[int], dense: List[int]) -> None:
         misses, temporal, spatial, loaded_n, evicted_n = st
-        integers, shuffle = rng.integers, rng.shuffle
+        integers, shuffle = stream.integers, stream.shuffle
         res, mk, pend, cand = resident, marked, pending, unmarked
         for it, blk in zip(items, blocks):
             if it in res:
@@ -796,7 +799,7 @@ def _kernel_gcm(
                 if not cand:
                     mk.clear()  # phase ends: all residents candidates
                     cand[:] = sorted(res)
-                victim = cand.pop(int(integers(len(cand))))
+                victim = cand.pop(integers(len(cand)))
                 res.discard(victim)
                 evicted.add(victim)
             res.add(it)
@@ -817,7 +820,7 @@ def _kernel_gcm(
                     # after the loop, so it holds exactly that set.
                     if not cand:
                         break
-                    victim = cand.pop(int(integers(len(cand))))
+                    victim = cand.pop(integers(len(cand)))
                     res.discard(victim)
                     evicted.add(victim)
                 res.add(nb)
@@ -832,21 +835,20 @@ def _kernel_gcm(
                 insort(cand, nb)
             # (The referee's ``marked &= resident`` is a no-op: victims
             # are always unmarked at eviction time.)
-            churn = loaded & evicted
-            eff_loaded = loaded - churn
-            eff_evicted = evicted - churn
+            if evicted and not loaded.isdisjoint(evicted):
+                churn = loaded & evicted
+                loaded -= churn
+                evicted -= churn
             misses += 1
-            n_loaded = len(eff_loaded)
+            n_loaded = len(loaded)
             loaded_n += n_loaded
             if loads is not None:
                 loads.append(n_loaded)
-            evicted_n += len(eff_evicted)
-            pend -= eff_evicted
-            for member in eff_loaded:
-                if member != it:
-                    pend.add(member)
-                else:
-                    pend.discard(member)
+            evicted_n += len(evicted)
+            pend -= evicted
+            pend |= loaded
+            if it in loaded:
+                pend.discard(it)
             if record is not None:
                 record.append(KIND_MISS)
         st[0], st[1], st[2], st[3], st[4] = (
@@ -917,22 +919,22 @@ def _kernel_block(
                 res.difference_update(victim_items)
             bd[blk] = load
             res.update(load)
-            load_set = set(load)
-            churn = load_set & evicted
-            eff_loaded = load_set - churn
-            eff_evicted = evicted - churn
+            loaded = load
+            if evicted and not evicted.isdisjoint(load):
+                loaded = set(load)
+                churn = loaded & evicted
+                loaded -= churn
+                evicted -= churn
             misses += 1
-            n_loaded = len(eff_loaded)
+            n_loaded = len(loaded)
             loaded_n += n_loaded
             if loads is not None:
                 loads.append(n_loaded)
-            evicted_n += len(eff_evicted)
-            pend -= eff_evicted
-            for member in eff_loaded:
-                if member != it:
-                    pend.add(member)
-                else:
-                    pend.discard(member)
+            evicted_n += len(evicted)
+            pend -= evicted
+            pend.update(loaded)
+            if it in loaded:
+                pend.discard(it)
             if record is not None:
                 record.append(KIND_MISS)
         st[0], st[1], st[2], st[3], st[4] = (
@@ -971,6 +973,7 @@ def _kernel_iblp(
     refcount: Dict[int, int] = {}  # item -> number of layers holding it
     occupancy_cell = [0]  # item slots used by the block layer
     pending: set = set()
+    scratch: set = set()  # a promotion's evictions (empty between accesses)
     members_of = ct.block_members
     st = [0, 0, 0, 0, 0]  # misses, temporal, spatial, loaded_n, evicted_n
 
@@ -1047,17 +1050,18 @@ def _kernel_iblp(
                 continue
             if not block_first:
                 block_hit = blk in blocks_d
-            loaded: set = set()
-            evicted: set = set()
             if block_hit and it in refcount:
                 # Block-layer hit: refresh recency, promote the item.
+                # ``it`` already holds a copy, so the promotion loads
+                # nothing and ``scratch`` collects only the item-layer
+                # victim, if it lost its last copy.
                 if not block_first:
                     blocks_d[blk] = blocks_d.pop(blk)
-                item_insert(it, loaded, evicted)
-                loaded.discard(it)  # promoting a resident is not a load
-                eff_evicted = evicted - (loaded & evicted)
-                evicted_n += len(eff_evicted)
-                pend -= eff_evicted
+                item_insert(it, scratch, scratch)
+                if scratch:
+                    evicted_n += len(scratch)
+                    pend -= scratch
+                    scratch.clear()
                 if it in pend:
                     pend.discard(it)
                     spatial += 1
@@ -1069,23 +1073,24 @@ def _kernel_iblp(
                         record.append(KIND_TEMPORAL)
                 continue
             # Full miss: both layers load.
+            loaded: set = set()
+            evicted: set = set()
             item_insert(it, loaded, evicted)
             block_insert(blk, it, loaded, evicted)
-            churn = loaded & evicted
-            eff_loaded = loaded - churn
-            eff_evicted = evicted - churn
+            if evicted and not loaded.isdisjoint(evicted):
+                churn = loaded & evicted
+                loaded -= churn
+                evicted -= churn
             misses += 1
-            n_loaded = len(eff_loaded)
+            n_loaded = len(loaded)
             loaded_n += n_loaded
             if loads is not None:
                 loads.append(n_loaded)
-            evicted_n += len(eff_evicted)
-            pend -= eff_evicted
-            for member in eff_loaded:
-                if member != it:
-                    pend.add(member)
-                else:
-                    pend.discard(member)
+            evicted_n += len(evicted)
+            pend -= evicted
+            pend |= loaded
+            if it in loaded:
+                pend.discard(it)
             if record is not None:
                 record.append(KIND_MISS)
         st[0], st[1], st[2], st[3], st[4] = (
@@ -1126,6 +1131,7 @@ def _kernel_iblp_adaptive(
     ghost_item_cap = max(1, int(capacity * ghost_factor))
     ghost_block_cap = max(1, int(capacity * ghost_factor) // max_block_size)
     pending: set = set()
+    scratch: set = set()  # a promotion's evictions (empty between accesses)
     members_of = ct.block_members
     # target_i (float) and block occupancy live in cells: the helpers
     # below mutate them across chunk boundaries.
@@ -1248,15 +1254,14 @@ def _kernel_iblp_adaptive(
                     if record is not None:
                         record.append(KIND_TEMPORAL)
                 continue
-            loaded: set = set()
-            evicted: set = set()
             if blk in blocks_d and it in refcount:
+                # Block-layer hit: promote without a load (see IBLP).
                 blocks_d[blk] = blocks_d.pop(blk)
-                promote(it, loaded, evicted)
-                loaded.discard(it)
-                eff_evicted = evicted - (loaded & evicted)
-                evicted_n += len(eff_evicted)
-                pend -= eff_evicted
+                promote(it, scratch, scratch)
+                if scratch:
+                    evicted_n += len(scratch)
+                    pend -= scratch
+                    scratch.clear()
                 if it in pend:
                     pend.discard(it)
                     spatial += 1
@@ -1267,6 +1272,8 @@ def _kernel_iblp_adaptive(
                     if record is not None:
                         record.append(KIND_TEMPORAL)
                 continue
+            loaded: set = set()
+            evicted: set = set()
             # Miss: consult the ghosts to move the boundary first.
             if it in ghost_items:
                 del ghost_items[it]
@@ -1277,21 +1284,20 @@ def _kernel_iblp_adaptive(
             shrink_layers(loaded, evicted)
             promote(it, loaded, evicted)
             insert_block(blk, it, loaded, evicted)
-            churn = loaded & evicted
-            eff_loaded = loaded - churn
-            eff_evicted = evicted - churn
+            if evicted and not loaded.isdisjoint(evicted):
+                churn = loaded & evicted
+                loaded -= churn
+                evicted -= churn
             misses += 1
-            n_loaded = len(eff_loaded)
+            n_loaded = len(loaded)
             loaded_n += n_loaded
             if loads is not None:
                 loads.append(n_loaded)
-            evicted_n += len(eff_evicted)
-            pend -= eff_evicted
-            for member in eff_loaded:
-                if member != it:
-                    pend.add(member)
-                else:
-                    pend.discard(member)
+            evicted_n += len(evicted)
+            pend -= evicted
+            pend |= loaded
+            if it in loaded:
+                pend.discard(it)
             if record is not None:
                 record.append(KIND_MISS)
         st[0], st[1], st[2], st[3], st[4] = (
@@ -1346,14 +1352,15 @@ def _kernel_athreshold(
                     want = want[:capacity]
             else:
                 want = [it]
-            protect = set(want)
-            loaded: set = set()
+            # Every wanted item is loaded and protected from eviction,
+            # so the load set never meets the evict set (no churn).
+            loaded = set(want)
             evicted: set = set()
             for w in want:
                 if len(res) >= capacity:
                     victim = -1
                     for key in order:
-                        if key not in protect:
+                        if key not in loaded:
                             victim = key
                             break
                     if victim < 0:  # pragma: no cover - mirrors referee guard
@@ -1374,7 +1381,6 @@ def _kernel_athreshold(
                 order[w] = None
                 wblk = block_of[w]
                 block_resident_count[wblk] = block_resident_count.get(wblk, 0) + 1
-                loaded.add(w)
             misses += 1
             n_loaded = len(loaded)
             loaded_n += n_loaded
@@ -1382,11 +1388,9 @@ def _kernel_athreshold(
                 loads.append(n_loaded)
             evicted_n += len(evicted)
             pend -= evicted
-            for member in loaded:
-                if member != it:
-                    pend.add(member)
-                else:
-                    pend.discard(member)
+            pend |= loaded
+            if it in loaded:
+                pend.discard(it)
             if record is not None:
                 record.append(KIND_MISS)
         st[0], st[1], st[2], st[3], st[4] = (
@@ -1455,6 +1459,9 @@ _DISPATCH: Dict[type, _Kernel] = {
         ct, p.capacity, p.a, rec, lds
     ),
 }
+
+#: Kernels that draw from a seeded stream (:func:`draw_stream`).
+_RANDOMIZED = frozenset({ItemRandom, GCM, MarkAllGCM, PartialGCM})
 
 #: Registry names with a replay kernel — every *online* registered
 #: policy (parameterized families count once: every ``a`` shares the
@@ -1532,7 +1539,7 @@ def fast_simulate(
         compiled = compile_trace(trace)
         if sp is not None:
             sp.set("accesses", compiled.n)
-        (counts,) = _replay_steppers(compiled, [(policy, record, loads)], None)
+        (counts,) = _replay_steppers(compiled, [(policy, record, loads)], None, sp)
     return _batch_result(name, policy.capacity, trace, compiled.n, *counts)
 
 
@@ -1540,14 +1547,25 @@ def _replay_steppers(
     compiled: CompiledTrace,
     kernels: List[Tuple[object, _Record, _Record]],
     chunk: Optional[int],
+    sp=None,
 ) -> List[_Counts]:
     """Advance one kernel stepper per ``(policy, record, loads)`` in lockstep.
 
     The single stepper loop behind both replay entry points: every
     kernel sees each ``chunk``-sized slice of ``compiled`` before the
     next slice is produced (``None`` hands an in-memory trace over in
-    one slice).  Returns each kernel's final counters, in order.
+    one slice).  Returns each kernel's final counters, in order.  When
+    a randomized kernel runs, span ``sp`` records which draw stream
+    it got (``rng="raw"``, or ``"numpy"`` if any fell back).
     """
+    if sp is not None:
+        kinds = {
+            stream_kind(policy.capacity)
+            for policy, _rec, _lds in kernels
+            if type(policy) in _RANDOMIZED
+        }
+        if kinds:
+            sp.set("rng", "numpy" if "numpy" in kinds else "raw")
     steppers = [
         _DISPATCH[type(policy)](compiled, policy, rec, lds)
         for policy, rec, lds in kernels
@@ -2060,7 +2078,7 @@ def multi_policy_replay(
                 kernels.append((policy, cell_rec, None))
             compiled = compile_trace(trace)
             counts = _replay_steppers(
-                compiled, kernels, chunk if len(kernels) > 1 else None
+                compiled, kernels, chunk if len(kernels) > 1 else None, sp
             )
             for i, cell_counts in zip(remaining, counts):
                 results[i] = _batch_result(

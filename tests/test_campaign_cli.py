@@ -5,6 +5,7 @@ rows bit-identical to an uninterrupted serial sweep)."""
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -143,6 +144,46 @@ class TestRunStatusExport:
         assert "pending" in out
         out = run_cli(capsys, "export", str(tmp_path))
         assert "no completed cells" in out
+
+
+class TestReadonlyReaders:
+    """``status`` and ``export`` never modify a campaign directory: a
+    runner may be mid-append, so a torn tail is its in-flight row."""
+
+    def test_torn_tail_survives_status_and_export(self, tmp_path, capsys):
+        directory = tmp_path / "camp"
+        run_cli(capsys, "run", str(directory), *RUN_ARGS)
+        expected = collect_rows(directory)
+        assert len(expected) == 4
+        # Crash window 1: the last row is appended but never indexed.
+        results = directory / "results.jsonl"
+        last_offset = len(results.read_bytes()) - len(
+            results.read_bytes().splitlines(keepends=True)[-1]
+        )
+        db = sqlite3.connect(directory / "index.sqlite")
+        db.execute("DELETE FROM cells WHERE offset = ?", (last_offset,))
+        db.commit()
+        db.close()
+        # Crash window 2 (or a live append): a torn tail line.
+        with open(results, "ab") as f:
+            f.write(b'{"hash": "in-flight", "payl')
+        before = {
+            path.name: path.read_bytes() for path in sorted(directory.iterdir())
+        }
+
+        assert collect_rows(directory) == expected
+        out = run_cli(capsys, "status", str(directory))
+        assert "4/4 cells done" in out
+        out = run_cli(capsys, "export", str(directory), "--format", "jsonl")
+        assert len(out.splitlines()) == 4
+
+        after = {
+            path.name: path.read_bytes() for path in sorted(directory.iterdir())
+        }
+        assert after.keys() == before.keys()
+        for name, data in before.items():
+            assert len(after[name]) == len(data), name
+            assert after[name] == data, name
 
 
 @pytest.mark.skipif(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.campaign.journal import Journal
 from repro.campaign.store import ResultStore
+from repro.errors import ConfigurationError
 
 
 @pytest.fixture
@@ -80,6 +81,37 @@ class TestResultStore:
         with ResultStore(tmp_path) as s:
             assert s.get("a") == {"v": 1}
             assert s.get("c") == {"v": 3}
+
+    def test_readonly_reads_unindexed_rows_and_keeps_torn_tail(self, tmp_path):
+        """A reader indexes a row the index missed, in memory only, and
+        leaves a torn tail (a live writer's in-flight append) alone."""
+        with ResultStore(tmp_path) as s:
+            s.put("a", {"v": 1})
+        with open(tmp_path / "results.jsonl", "a") as f:
+            f.write(json.dumps({"hash": "b", "payload": {"v": 2}}) + "\n")
+            f.write('{"hash": "torn", "payl')  # no newline
+        before = {
+            name: (tmp_path / name).read_bytes()
+            for name in ("results.jsonl", "index.sqlite")
+        }
+        with ResultStore(tmp_path, readonly=True) as s:
+            assert s.get("a") == {"v": 1}
+            assert s.get("b") == {"v": 2}
+            assert len(s) == 2
+            assert "torn" not in s
+            with pytest.raises(ConfigurationError, match="read-only"):
+                s.put("c", {"v": 3})
+        for name, data in before.items():
+            assert (tmp_path / name).read_bytes() == data
+        # The writer's own open still repairs: "b" is indexed for real.
+        with ResultStore(tmp_path) as s:
+            assert s.get("b") == {"v": 2}
+
+    def test_readonly_open_of_empty_directory_creates_nothing(self, tmp_path):
+        with ResultStore(tmp_path, readonly=True) as s:
+            assert len(s) == 0
+            assert s.get("a") is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_rebuild_after_external_truncation(self, tmp_path):
         with ResultStore(tmp_path) as s:

@@ -14,15 +14,21 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.policies.adaptive_iblp
+import repro.policies.athreshold
+import repro.policies.block_cache
+import repro.policies.iblp
+import repro.policies.marking
 from repro.core.conformance import (
     KIND_CODE,
     assert_conformant,
+    assert_loads_conformant,
     check_conformance,
     conformance_suite,
     fast_outcomes,
     referee_outcomes,
 )
-from repro.core.engine import simulate
+from repro.core.engine import Engine, simulate
 from repro.core.fast import (
     FAST_POLICY_NAMES,
     compile_trace,
@@ -268,3 +274,111 @@ def test_compiled_trace_encoding():
     assert ct.dense == [1, 0, 1, 2]  # indexes into unique_items
     assert ct.block_members[2] == (8, 9, 10, 11)
     assert ct.item_block[9] == 2  # side-load candidates covered too
+
+
+# -- explicit churn rows -----------------------------------------------------
+#
+# A block-granularity miss can load an item its own evictions removed
+# (GCM's same-block step-1 victim reloaded as a neighbour, a trimmed
+# block entry replaced by an overlapping one).  The referee cancels
+# such churn out of both reported sets; the kernels compute it only
+# when the two sets meet.  These rows pick traces where they do and
+# prove, on the referee side, that churn actually happened.
+
+
+#: Modules of the policies whose accesses cancel load/evict churn.
+CHURN_POLICY_MODULES = (
+    repro.policies.marking,
+    repro.policies.block_cache,
+    repro.policies.iblp,
+    repro.policies.adaptive_iblp,
+    repro.policies.athreshold,
+)
+
+
+class _ChurnSpy(set):
+    """A ``set`` that logs every non-empty ``loaded & evicted``."""
+
+    log: list = []
+
+    def __and__(self, other):
+        out = set.__and__(self, other)
+        if out:
+            _ChurnSpy.log.append(frozenset(out))
+        return out
+
+
+def _referee_churn(name, capacity, trace, **kwargs):
+    """Churned items per referee access (``{}`` when none churned).
+
+    The block-granularity policies build ``loaded``/``evicted`` with
+    their module's ``set``; swapping in :class:`_ChurnSpy` logs each
+    access's churn without touching the policy code.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for module in CHURN_POLICY_MODULES:
+            mp.setattr(module, "set", _ChurnSpy, raising=False)
+        mp.setattr(_ChurnSpy, "log", [])
+        engine = Engine(make_policy(name, capacity, trace.mapping, **kwargs))
+        churned = {}
+        for t, item in enumerate(trace.items.tolist()):
+            before = len(_ChurnSpy.log)
+            engine.access(item)
+            if len(_ChurnSpy.log) > before:
+                churn = _ChurnSpy.log[-1]
+                outcome = engine.last_outcome
+                # The referee reports neither side of the churn, and the
+                # churned items end the access resident (reloaded).
+                assert churn.isdisjoint(outcome.loaded)
+                assert churn.isdisjoint(outcome.evicted)
+                assert churn <= engine.resident
+                churned[t] = churn
+    return churned
+
+
+def _churn_trace():
+    """Two 4-item blocks, every block member touched, cache of 3."""
+    prefix = [0, 1, 2, 3, 4, 5, 6, 7]
+    rest = np.random.default_rng(5).integers(0, 8, 400).tolist()
+    return _trace(prefix + rest, universe=8, B=4)
+
+
+@pytest.mark.parametrize(
+    "name, capacity, kwargs",
+    [
+        ("gcm", 3, {}),
+        ("gcm", 3, {"seed": 7}),
+        ("gcm-markall", 3, {}),
+        ("gcm-partial", 3, {"load_count": 3}),
+        ("iblp", 3, {"item_layer_size": 0}),
+        ("iblp-blockfirst", 3, {"item_layer_size": 0}),
+        ("block-lru", 2, {}),
+        ("block-fifo", 2, {}),
+        ("iblp-adaptive", 3, {"initial_item_fraction": 0.0}),
+    ],
+)
+def test_churn_rows_match_the_referee(name, capacity, kwargs):
+    trace = _churn_trace()
+    churned = _referee_churn(name, capacity, trace, **kwargs)
+    assert churned, "trace no longer makes a load set meet its evict set"
+    assert_conformant(name, capacity, trace, **kwargs)  # mode="cell" (record)
+    assert_loads_conformant(name, capacity, trace, **kwargs)  # mode="loads"
+
+
+def test_iblp_trimmed_residue_churn_is_exact():
+    # k=3 < B=4 with no item layer: item 3 misses against the trimmed
+    # entry (0, 1, 2), which is replaced by (3, 0, 1) — 0 and 1 churn.
+    trace = _trace([0, 3], universe=8, B=4)
+    churned = _referee_churn("iblp", 3, trace, item_layer_size=0)
+    assert churned == {1: frozenset({0, 1})}
+    assert_conformant("iblp", 3, trace, item_layer_size=0)
+
+
+def test_athreshold_loads_never_meet_its_evictions():
+    # a=1 loads whole (trimmed) blocks and evicts LRU items, but the
+    # victims skip the protected want-set, so there is no churn to
+    # cancel; the rows still pin the multi-item load/evict tail.
+    trace = _churn_trace()
+    assert _referee_churn("athreshold-lru", 3, trace, a=1) == {}
+    assert_conformant("athreshold-lru", 3, trace, a=1)
+    assert_loads_conformant("athreshold-lru", 3, trace, a=1)
