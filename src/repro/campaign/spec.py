@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 import repro
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
+from repro.telemetry import spans
 
 __all__ = [
     "TraceSpec",
@@ -108,7 +109,20 @@ class TraceSpec:
     densify: bool = False
 
     def materialize(self) -> Trace:
-        """Build the trace this spec describes."""
+        """Build the trace this spec describes.
+
+        Runs under a ``campaign.materialize`` span carrying ``kind``,
+        ``name`` (generator name or path) and ``accesses``; a generator
+        that draws per step also names its draw stream there
+        (``rng="raw"|"numpy"``, see :mod:`repro.core.raw_stream`).
+        """
+        with spans.span("campaign.materialize", kind=self.kind):
+            spans.annotate(name=self.name if self.kind == "workload" else self.path)
+            trace = self._build()
+            spans.annotate(accesses=len(trace))
+        return trace
+
+    def _build(self) -> Trace:
         if self.kind == "workload":
             registry = _workload_registry()
             if self.name not in registry:

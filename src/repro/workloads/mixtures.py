@@ -8,11 +8,13 @@ ablation studies.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.mapping import FixedBlockMapping
+from repro.core.raw_stream import generator_stream
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, TraceFormatError
 
@@ -46,25 +48,25 @@ def hot_and_stream(
         )
     if hot_items < 1 or stream_blocks < 1:
         raise ConfigurationError("need at least one hot item and stream block")
+    if not math.isfinite(zipf_alpha):
+        raise ConfigurationError(f"zipf_alpha must be finite, got {zipf_alpha}")
     hot_blocks = hot_items if scatter_hot else -(-hot_items // block_size)
     universe = (hot_blocks + stream_blocks) * block_size
     mapping = FixedBlockMapping(universe=universe, block_size=block_size)
-    rng = np.random.default_rng(seed)
     ranks = np.arange(1, hot_items + 1, dtype=float)
     weights = ranks**-zipf_alpha
     weights /= weights.sum()
-    if scatter_hot:
-        # One hot item per block (block-local offset 0).
-        hot_ids = np.arange(hot_items, dtype=np.int64) * block_size
-    else:
-        hot_ids = np.arange(hot_items, dtype=np.int64)
+    # One hot item per block (block-local offset 0), or packed.
+    hot_stride = block_size if scatter_hot else 1
     stream_start = hot_blocks * block_size
     stream_len = stream_blocks * block_size
+    stream = generator_stream(seed, bound=0)  # no integer draws
+    random, pick = stream.random, stream.weighted(weights)
     accesses = np.empty(length, dtype=np.int64)
     cursor = 0
     for pos in range(length):
-        if rng.random() < hot_fraction:
-            accesses[pos] = rng.choice(hot_ids, p=weights)
+        if random() < hot_fraction:
+            accesses[pos] = pick() * hot_stride
         else:
             accesses[pos] = stream_start + cursor
             cursor = (cursor + 1) % stream_len

@@ -11,6 +11,10 @@ flash/disk.  These generators translate that into item/block terms:
 * :func:`page_cache_workload` — a page cache reading files: whole-file
   sequential reads (spatial) mixed with random hot-page lookups
   (temporal), mimicking a file-server scan+index mix.
+
+Both draw from :func:`~repro.core.raw_stream.generator_stream`, which
+replays ``numpy.random.default_rng(seed)``'s scalar calls draw for
+draw, so a trace is bit-identical to one built from numpy calls.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.mapping import FixedBlockMapping
+from repro.core.raw_stream import generator_stream
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
 
@@ -46,30 +51,35 @@ def dram_cache_workload(
         raise ConfigurationError("burst_mean must be positive")
     if not 0 <= noise_fraction <= 1:
         raise ConfigurationError("noise_fraction must be in [0, 1]")
+    if not 0 <= hot_row_fraction <= 1:
+        raise ConfigurationError(
+            f"hot_row_fraction must be in [0, 1], got {hot_row_fraction}"
+        )
     mapping = FixedBlockMapping(
         universe=rows * lines_per_row, block_size=lines_per_row
     )
-    rng = np.random.default_rng(seed)
     n_hot = max(1, int(rows * hot_row_fraction))
     ranks = np.arange(1, n_hot + 1, dtype=float)
     weights = ranks**-1.0
     weights /= weights.sum()
-    hot_rows = rng.permutation(rows)[:n_hot]
+    stream = generator_stream(seed, max(rows, lines_per_row))
+    integers, random = stream.integers, stream.random
+    hot_rows = stream.permutation(rows)[:n_hot]
+    pick = stream.weighted(weights)
     accesses: list[int] = []
     p_end = min(1.0, 1.0 / burst_mean)
     while len(accesses) < length:
-        if rng.random() < noise_fraction:
-            row = int(rng.integers(rows))
-            accesses.append(row * lines_per_row + int(rng.integers(lines_per_row)))
+        if random() < noise_fraction:
+            row = integers(rows)
+            accesses.append(row * lines_per_row + integers(lines_per_row))
             continue
-        row = int(rng.choice(hot_rows, p=weights))
-        start = int(rng.integers(lines_per_row))
+        base = hot_rows[pick()] * lines_per_row
+        start = integers(lines_per_row)
         offset = 0
         while True:
-            line = (start + offset) % lines_per_row
-            accesses.append(row * lines_per_row + line)
+            accesses.append(base + (start + offset) % lines_per_row)
             offset += 1
-            if rng.random() < p_end or offset >= lines_per_row:
+            if random() < p_end or offset >= lines_per_row:
                 break
     return Trace(
         np.asarray(accesses[:length], dtype=np.int64),
@@ -101,22 +111,25 @@ def page_cache_workload(
         raise ConfigurationError("need >= 1 file and >= 1 page per file")
     if not 0 <= scan_fraction <= 1:
         raise ConfigurationError("scan_fraction must be in [0, 1]")
+    if hot_pages < 1:
+        raise ConfigurationError(f"hot_pages must be >= 1, got {hot_pages}")
     universe = files * pages_per_file
     hot_pages = min(hot_pages, universe)
     mapping = FixedBlockMapping(universe=universe, block_size=pages_per_file)
-    rng = np.random.default_rng(seed)
-    hot_ids = rng.permutation(universe)[:hot_pages]
+    stream = generator_stream(seed, universe)
+    integers, random = stream.integers, stream.random
+    hot_ids = stream.permutation(universe)[:hot_pages]
     ranks = np.arange(1, hot_pages + 1, dtype=float)
     weights = ranks**-0.9
     weights /= weights.sum()
+    pick = stream.weighted(weights)
     accesses: list[int] = []
     while len(accesses) < length:
-        if rng.random() < scan_fraction:
-            f = int(rng.integers(files))
-            base = f * pages_per_file
+        if random() < scan_fraction:
+            base = integers(files) * pages_per_file
             accesses.extend(range(base, base + pages_per_file))
         else:
-            accesses.append(int(rng.choice(hot_ids, p=weights)))
+            accesses.append(hot_ids[pick()])
     return Trace(
         np.asarray(accesses[:length], dtype=np.int64),
         mapping,

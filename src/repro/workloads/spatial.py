@@ -11,13 +11,22 @@ generators here dial that ratio:
   with probability ``stay``; expected run length ``1/(1-stay)``.
 * :func:`block_zipf` — Zipf over *blocks*, uniform within; models hot
   rows/pages whose items are used together.
+
+The seeded generators draw from
+:func:`~repro.core.raw_stream.generator_stream`, which replays
+``numpy.random.default_rng(seed)``'s scalar calls draw for draw, so a
+trace is bit-identical to one built from numpy calls.  Every block of
+these mappings is full, so item ``j`` of block ``b`` is ``b * B + j``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.mapping import FixedBlockMapping
+from repro.core.raw_stream import generator_stream
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
 
@@ -49,15 +58,13 @@ def block_runs(
             f"run_length must be in [1, {block_size}], got {run_length}"
         )
     mapping = _mapping(universe, block_size)
-    rng = np.random.default_rng(seed)
+    nblocks = mapping.num_blocks
+    stream = generator_stream(seed, nblocks, sample_pop=block_size)
+    integers, sample = stream.integers, stream.sample
     accesses: list[int] = []
     while len(accesses) < length:
-        blk = int(rng.integers(mapping.num_blocks))
-        members = mapping.items_in(blk)
-        picks = rng.choice(
-            len(members), size=min(run_length, len(members)), replace=False
-        )
-        accesses.extend(int(members[i]) for i in picks)
+        base = integers(nblocks) * block_size
+        accesses.extend([base + j for j in sample(block_size, run_length)])
     return Trace(
         np.asarray(accesses[:length], dtype=np.int64),
         mapping,
@@ -86,14 +93,15 @@ def markov_spatial(
     if not 0.0 <= stay < 1.0:
         raise ConfigurationError(f"stay must be in [0, 1), got {stay}")
     mapping = _mapping(universe, block_size)
-    rng = np.random.default_rng(seed)
+    nblocks = mapping.num_blocks
+    stream = generator_stream(seed, max(nblocks, block_size))
+    integers, random = stream.integers, stream.random
     accesses = np.empty(length, dtype=np.int64)
-    blk = int(rng.integers(mapping.num_blocks))
+    blk = integers(nblocks)
     for pos in range(length):
-        if rng.random() >= stay:
-            blk = int(rng.integers(mapping.num_blocks))
-        members = mapping.items_in(blk)
-        accesses[pos] = members[int(rng.integers(len(members)))]
+        if random() >= stay:
+            blk = integers(nblocks)
+        accesses[pos] = blk * block_size + integers(block_size)
     return Trace(
         accesses,
         mapping,
@@ -121,11 +129,8 @@ def interleaved_streams(
     universe = streams * blocks_per_stream * block_size
     mapping = _mapping(universe, block_size)
     lap = blocks_per_stream * block_size
-    accesses = np.empty(length, dtype=np.int64)
-    for pos in range(length):
-        s = pos % streams
-        offset = (pos // streams) % lap
-        accesses[pos] = s * lap + offset
+    pos = np.arange(length, dtype=np.int64)
+    accesses = (pos % streams) * lap + (pos // streams) % lap
     return Trace(
         accesses,
         mapping,
@@ -151,28 +156,24 @@ def block_zipf(
     ``within_run`` random distinct items of it — hot DRAM rows / hot
     file pages, the workloads that motivate granularity-aware caching.
     """
-    if alpha < 0:
-        raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ConfigurationError(f"alpha must be finite and >= 0, got {alpha}")
     mapping = _mapping(universe, block_size)
     if not 1 <= within_run <= block_size:
         raise ConfigurationError(
             f"within_run must be in [1, {block_size}], got {within_run}"
         )
-    rng = np.random.default_rng(seed)
     nblocks = mapping.num_blocks
     ranks = np.arange(1, nblocks + 1, dtype=float)
     weights = ranks**-alpha
     weights /= weights.sum()
-    block_ids = np.arange(nblocks)
-    rng.shuffle(block_ids)
+    stream = generator_stream(seed, nblocks, sample_pop=block_size)
+    block_ids = stream.permutation(nblocks)
+    pick, sample = stream.weighted(weights), stream.sample
     accesses: list[int] = []
     while len(accesses) < length:
-        blk = int(rng.choice(block_ids, p=weights))
-        members = mapping.items_in(blk)
-        picks = rng.choice(
-            len(members), size=min(within_run, len(members)), replace=False
-        )
-        accesses.extend(int(members[i]) for i in picks)
+        base = block_ids[pick()] * block_size
+        accesses.extend([base + j for j in sample(block_size, within_run)])
     return Trace(
         np.asarray(accesses[:length], dtype=np.int64),
         mapping,

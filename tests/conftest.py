@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import raw_stream
 from repro.core.mapping import FixedBlockMapping
 from repro.core.trace import Trace
 
@@ -40,3 +41,12 @@ def random_trace(
     return Trace(
         gen.integers(0, mapping.universe, size=length, dtype=np.int64), mapping
     )
+
+
+@pytest.fixture
+def forced_fallback(monkeypatch):
+    """The raw stream's self-check fails: every randomized kernel and
+    trace generator draws from numpy's own generator."""
+    monkeypatch.setattr(raw_stream, "_raw_ok", None)
+    monkeypatch.setattr(raw_stream, "_self_check", lambda: False)
+    assert isinstance(raw_stream.draw_stream(1, 64), raw_stream.NumpyStream)

@@ -446,5 +446,17 @@ class TestObservabilityFlags:
         assert "4 memoized" in out
         from repro.obs.trace_export import load_spans
 
-        names = {sp.name for sp in load_spans(spans_path)}
-        assert names == {"campaign", "campaign.plan", "campaign.execute"}
+        recorded = load_spans(spans_path)
+        names = {sp.name for sp in recorded}
+        assert names == {
+            "campaign",
+            "campaign.plan",
+            "campaign.materialize",
+            "campaign.execute",
+        }
+        by_id = {sp.span_id: sp for sp in recorded}
+        assert {
+            by_id[sp.parent_id].name
+            for sp in recorded
+            if sp.name == "campaign.materialize"
+        } == {"campaign.plan"}
