@@ -17,6 +17,9 @@ Two claims are flight-recorded:
   more than one tenth of the resulting file: the trace streamed
   through is >= 10x larger than the memory the converter held.
 
+The same child also times its conversion; ``convert_accesses_per_s``
+(text parse + ``.rtc`` write throughput) is recorded, not gated.
+
 Knobs (env vars, so the CI smoke job can shrink the run):
 
 * ``REPRO_INGEST_BENCH_LEN`` — MRC trace length (default 2_000_000)
@@ -60,14 +63,16 @@ CONVERT_CHUNK = 8192
 # The child measures its own high-water mark with getrusage, so the
 # parent's (much larger) in-memory workload generation cannot leak in.
 _RSS_CHILD = r"""
-import json, resource, sys
+import json, resource, sys, time
 from repro.workloads.stream import convert_to_rtc
 
 src, out, chunk = sys.argv[1], sys.argv[2], int(sys.argv[3])
 baseline_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+t0 = time.perf_counter()
 convert_to_rtc(src, out, chunk=chunk)
+seconds = time.perf_counter() - t0
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"baseline_kb": baseline_kb, "peak_kb": peak_kb}))
+print(json.dumps({"baseline_kb": baseline_kb, "peak_kb": peak_kb, "seconds": seconds}))
 """
 
 
@@ -130,6 +135,7 @@ def test_ingest_bench(tmp_path):
     rtc_bytes = out.stat().st_size
     rss_cap = rtc_bytes / 10
     rss_cap_ratio = rss_increment / rss_cap
+    convert_rate = RSS_LEN / child["seconds"]
 
     write_bench(
         "ingest",
@@ -139,6 +145,7 @@ def test_ingest_bench(tmp_path):
             "speedup": metric(speedup, "x", "higher"),
             "max_abs_error": metric(max_err, "miss-ratio", "lower"),
             "rss_cap_ratio": metric(rss_cap_ratio, "ratio", "lower"),
+            "convert_accesses_per_s": metric(convert_rate, "accesses/s", "higher"),
         },
         extra={
             "length": LENGTH,
@@ -154,6 +161,7 @@ def test_ingest_bench(tmp_path):
             "rss_length": RSS_LEN,
             "rtc_bytes": rtc_bytes,
             "rss_increment_bytes": rss_increment,
+            "convert_seconds": child["seconds"],
             "convert_chunk": CONVERT_CHUNK,
         },
     )

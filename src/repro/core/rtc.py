@@ -54,6 +54,7 @@ import numpy as np
 from repro.core.mapping import FixedBlockMapping
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, TraceFormatError
+from repro.telemetry import spans
 
 __all__ = [
     "RTC_MAGIC",
@@ -172,6 +173,14 @@ class RtcFile:
         return str(self.header["fingerprint"])
 
 
+def _drop_repeats(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array, in order."""
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class RtcWriter:
     """Incremental one-pass ``.rtc`` writer with bounded memory.
 
@@ -222,23 +231,29 @@ class RtcWriter:
             raise ConfigurationError("items chunk must be 1-D")
         if arr.size == 0:
             return
-        if int(arr.min()) < 0:
-            raise TraceFormatError("item ids must be non-negative")
-        self._hash.update(arr.tobytes())
-        self._files["items"].write(arr.astype(_I8, copy=False).tobytes())
-        blocks = arr // self.block_size
-        self._files["blocks"].write(blocks.astype(_I8, copy=False).tobytes())
-        if writes is None:
-            ops = np.zeros(arr.size, dtype=_U1)
-        else:
-            ops = np.ascontiguousarray(writes).astype(bool).astype(_U1)
-            if ops.size != arr.size:
-                raise ConfigurationError("writes chunk must match items chunk")
-        self._write_count += int(ops.sum())
-        self._files["ops"].write(ops.tobytes())
-        self._unique = np.union1d(self._unique, arr)
-        self._max_item = max(self._max_item, int(arr.max()))
-        self._n += arr.size
+        with spans.span("rtc.append", accesses=int(arr.size)):
+            if int(arr.min()) < 0:
+                raise TraceFormatError("item ids must be non-negative")
+            if writes is None:
+                ops = np.zeros(arr.size, dtype=_U1)
+            else:
+                ops = np.ascontiguousarray(writes).astype(bool).astype(_U1)
+                if ops.size != arr.size:
+                    raise ConfigurationError("writes chunk must match items chunk")
+            self._hash.update(arr.tobytes())
+            self._files["items"].write(arr.astype(_I8, copy=False).tobytes())
+            blocks = arr // self.block_size
+            self._files["blocks"].write(blocks.astype(_I8, copy=False).tobytes())
+            self._write_count += int(ops.sum())
+            self._files["ops"].write(ops.tobytes())
+            # Merge the sorted chunk into the sorted table: a stable sort
+            # of two sorted runs is one linear merge, unlike the full
+            # re-sort np.union1d does on every chunk.
+            merged = np.concatenate((self._unique, np.sort(arr)))
+            merged.sort(kind="stable")
+            self._unique = _drop_repeats(merged)
+            self._max_item = max(self._max_item, int(arr.max()))
+            self._n += arr.size
 
     def abort(self) -> None:
         """Close and remove spill files without producing an output."""
@@ -258,6 +273,10 @@ class RtcWriter:
         if self._n == 0:
             self.abort()
             raise TraceFormatError(f"{self.path}: no accesses to write")
+        with spans.span("rtc.finalize", accesses=self._n, distinct=int(self._unique.size)):
+            return self._write_file(universe)
+
+    def _write_file(self, universe: Optional[int]) -> Path:
         for fh in self._files.values():
             fh.close()
         top = self._max_item + 1
@@ -274,7 +293,7 @@ class RtcWriter:
         self._hash.update(f"fixed:{universe}:{self.block_size}".encode())
         fingerprint = self._hash.hexdigest()
 
-        unique_blocks = np.unique(self._unique // self.block_size)
+        unique_blocks = _drop_repeats(self._unique // self.block_size)
         header = {
             "format": "rtc",
             "version": RTC_VERSION,
@@ -294,13 +313,13 @@ class RtcWriter:
         )
 
         # Chunked pass over the spilled items to emit the dense column.
+        # Plain reads, not a memmap: mapped pages would stay resident and
+        # grow the converter's RSS with the trace length.
         dense_tmp = self.path.with_name(self.path.name + ".tmp-dense")
-        items_mm = np.memmap(self._tmp["items"], dtype=_I8, mode="r", shape=(self._n,))
-        with open(dense_tmp, "wb") as dense_f:
-            for lo in range(0, self._n, self.chunk):
-                seg = np.asarray(items_mm[lo : lo + self.chunk])
+        with open(self._tmp["items"], "rb") as items_f, open(dense_tmp, "wb") as dense_f:
+            for _ in range(0, self._n, self.chunk):
+                seg = np.fromfile(items_f, dtype=_I8, count=self.chunk)
                 dense_f.write(np.searchsorted(self._unique, seg).astype(_I8).tobytes())
-        del items_mm
 
         final_tmp = self.path.with_name(self.path.name + ".tmp-final")
         try:

@@ -28,9 +28,14 @@ experiments at toy scales.  This module reads traces in bounded memory:
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import io
+import re
+import zlib
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
@@ -39,6 +44,7 @@ import numpy as np
 from repro.core.rtc import DEFAULT_CHUNK, RtcFile, RtcWriter
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, TraceFormatError
+from repro.telemetry import spans
 
 __all__ = [
     "KvTraceStream",
@@ -70,18 +76,57 @@ def open_text_source(path: str | Path) -> TextIO:
     extension — a ``.trace`` file that happens to be compressed works,
     and a ``.gz``-named plain file is read as-is.
     """
-    raw = open(path, "rb")
-    try:
-        magic = raw.read(2)
-        raw.seek(0)
-        if magic == _GZIP_MAGIC:
-            import gzip
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+    # gzip.open owns (and closes) its file, unlike GzipFile(fileobj=...).
+    binary = gzip.open(path, "rb") if magic == _GZIP_MAGIC else open(path, "rb")
+    return io.TextIOWrapper(binary, encoding="utf-8")
 
-            return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8")
-        return io.TextIOWrapper(raw, encoding="utf-8")
-    except BaseException:
-        raw.close()
-        raise
+
+#: What reading a corrupt source raises: a truncated or damaged gzip
+#: stream, or bytes that are not UTF-8.
+_CORRUPT_SOURCE = (EOFError, UnicodeDecodeError, zlib.error, gzip.BadGzipFile)
+
+
+def _text_blocks(path: Path, size: int) -> Iterator[str]:
+    """The decoded text of ``path`` in blocks of about ``size``
+    characters, each cut at its last newline (one is added after an
+    unterminated last line).  Every parser reads its source here, so
+    corrupt content — a truncated or damaged gzip stream, bytes that are
+    not UTF-8 — raises :class:`~repro.errors.TraceFormatError` naming
+    the path.  No line is named: the decoder reads ahead of the lines
+    handed out, so the failing line is not known."""
+    carry = ""
+    with open_text_source(path) as fh:
+        while True:
+            try:
+                block = fh.read(size)
+            except _CORRUPT_SOURCE as exc:
+                what = (
+                    "not UTF-8 text"
+                    if isinstance(exc, UnicodeDecodeError)
+                    else "truncated or corrupt gzip data"
+                )
+                raise TraceFormatError(f"{path}: {what}: {exc}") from exc
+            if not block:
+                if carry:
+                    yield carry + "\n"
+                return
+            cut = block.rfind("\n") + 1
+            if not cut:
+                carry += block
+                continue
+            text = carry + block[:cut]
+            carry = block[cut:]
+            yield text
+
+
+def _text_lines(path: Path, size: int) -> Iterator[str]:
+    """The lines of ``path`` without their newlines, read as :func:`_text_blocks`."""
+    for block in _text_blocks(path, size):
+        lines = block.split("\n")
+        lines.pop()
+        yield from lines
 
 
 @dataclass
@@ -92,14 +137,25 @@ class StreamChunk:
     writes: np.ndarray  #: bool write flags
 
 
-class _AccessStream:
-    """Base class: window handling + chunk batching over ``_accesses()``.
+#: A parsed run of consecutive accesses: int64 item ids and bool write flags.
+_Run = Tuple[np.ndarray, np.ndarray]
 
-    Subclasses yield ``(item, is_write)`` pairs from ``_accesses()``;
-    this base applies the ``offset``/``limit`` window (skipped accesses
-    are still parsed and validated), batches survivors into
-    :class:`StreamChunk` arrays of at most ``chunk`` accesses, and stops
-    reading the source as soon as the window is exhausted.
+#: One ``(item, is_write)`` pair as a numpy record.
+_ACCESS = np.dtype([("item", np.int64), ("write", bool)])
+
+
+class _AccessStream:
+    """Base class: window handling + chunk batching over ``_runs()``.
+
+    Subclasses yield parsed runs from ``_runs()`` — by default, batches
+    of the ``(item, is_write)`` pairs ``_accesses()`` yields, never
+    pulling more than the window still wants.  This base applies the
+    ``offset``/``limit`` window (skipped accesses are still parsed and
+    validated), re-batches survivors into :class:`StreamChunk` arrays of
+    exactly ``chunk`` accesses (the last one may be shorter), and stops
+    reading the source as soon as the window is exhausted.  Each run is
+    parsed under one ``stream.parse`` span (``accesses``, ``fast_lines``,
+    ``slow_lines``), so the span times the parser alone.
     """
 
     def __init__(
@@ -121,37 +177,141 @@ class _AccessStream:
         self.accesses_seen = 0
         #: Accesses emitted so far (inside the window).
         self.emitted = 0
+        #: Source lines parsed a block at a time / one at a time.
+        self.fast_lines = 0
+        self.slow_lines = 0
 
     def _accesses(self) -> Iterator[Tuple[int, bool]]:
         raise NotImplementedError
 
+    def _wanted(self) -> int:
+        """Most accesses worth parsing next: ``chunk``, or fewer when
+        the window ends sooner."""
+        if self.limit is None:
+            return self.chunk
+        return min(self.chunk, self.offset + self.limit - self.accesses_seen)
+
+    def _runs(self) -> Iterator[_Run]:
+        accesses = self._accesses()
+        while True:
+            batch = np.fromiter(islice(accesses, self._wanted()), dtype=_ACCESS)
+            if not batch.size:
+                return
+            yield batch["item"], batch["write"]
+
     def __iter__(self) -> Iterator[StreamChunk]:
         if self.limit == 0:
             return
-        items: List[int] = []
-        writes: List[bool] = []
-        for item, is_write in self._accesses():
-            self.accesses_seen += 1
-            if self.accesses_seen <= self.offset:
-                continue
-            items.append(item)
-            writes.append(is_write)
-            self.emitted += 1
-            if len(items) >= self.chunk:
-                yield StreamChunk(
-                    np.asarray(items, dtype=np.int64), np.asarray(writes, dtype=bool)
-                )
-                items, writes = [], []
-            if self.limit is not None and self.emitted >= self.limit:
-                break
-        if items:
-            yield StreamChunk(
-                np.asarray(items, dtype=np.int64), np.asarray(writes, dtype=bool)
-            )
+        chunk = self.chunk
+        pending_items: List[np.ndarray] = []
+        pending_writes: List[np.ndarray] = []
+        buffered = 0
+        with closing(self._runs()) as runs:
+            while True:
+                fast, slow = self.fast_lines, self.slow_lines
+                with spans.span("stream.parse") as sp:
+                    run = next(runs, None)
+                    if sp is not None:
+                        sp.attributes.update(
+                            accesses=0 if run is None else int(run[0].size),
+                            fast_lines=self.fast_lines - fast,
+                            slow_lines=self.slow_lines - slow,
+                        )
+                if run is None:
+                    break
+                items, writes = run
+                skip = min(items.size, max(0, self.offset - self.accesses_seen))
+                take = items.size - skip
+                if self.limit is not None:
+                    take = min(take, self.limit - self.emitted)
+                self.accesses_seen += skip + take
+                if not take:
+                    continue  # an empty slice is still a view of the whole run
+                self.emitted += take
+                pending_items.append(items[skip : skip + take])
+                pending_writes.append(writes[skip : skip + take])
+                buffered += take
+                if buffered >= chunk:
+                    items = np.concatenate(pending_items)
+                    writes = np.concatenate(pending_writes)
+                    full = buffered - buffered % chunk
+                    for lo in range(0, full, chunk):
+                        yield StreamChunk(items[lo : lo + chunk], writes[lo : lo + chunk])
+                    pending_items, pending_writes = [items[full:]], [writes[full:]]
+                    buffered -= full
+                if self.limit is not None and self.emitted >= self.limit:
+                    break
+        if buffered:
+            yield StreamChunk(np.concatenate(pending_items), np.concatenate(pending_writes))
+
+
+#: Largest item id an int64 column holds.
+_MAX_ITEM = (1 << 63) - 1
+
+#: Flag byte -> 0 (none), 1 (read) or 2 (write) for the block parser.
+_FLAG_CODES = np.zeros(256, dtype=np.uint8)
+_FLAG_CODES[[ord("r"), ord("R")]] = 1
+_FLAG_CODES[[ord("w"), ord("W")]] = 2
+
+#: A decimal id with a leading zero after the first line ("\n007").
+_LEADING_ZERO = re.compile(rb"\n0[0-9]")
+
+
+def _block_run(body: str) -> Optional[_Run]:
+    """Parse a block of canonical lines in one step, or return ``None``.
+
+    ``body`` is whole lines, each ending in a newline.  Every line must
+    be a canonical decimal id — ``0``, or digits without a leading zero
+    that fit in int64 — optionally followed by one space and an
+    ``r``/``w``/``R``/``W`` flag (the form ``write_text_trace``
+    emits).  A block with any other line returns ``None`` and goes to
+    the per-line parser, which gives the same result or raises the
+    error; these string checks only decide which parser runs.
+    """
+    if not body.isascii() or body.startswith("\n"):
+        return None
+    raw = body.encode("ascii")
+    writes: Optional[np.ndarray] = None
+    if b" " in raw:
+        # Cut the " <flag>" suffixes; whatever else is left fails below.
+        # The body neither starts with a blank line nor ends without a
+        # newline, so ends - 2 >= -1 never reads a flag by wrapping.
+        b = np.frombuffer(raw, dtype=np.uint8)
+        ends = np.flatnonzero(b == 10)
+        flags = _FLAG_CODES[b[ends - 1]]
+        flags[b[ends - 2] != 32] = 0
+        flagged = ends[flags > 0]
+        keep = np.ones(b.size, dtype=bool)
+        keep[flagged - 1] = False
+        keep[flagged - 2] = False
+        raw = b[keep].tobytes()
+        writes = flags == 2
+    if (
+        raw.translate(None, b"0123456789\n")
+        or raw.startswith(b"\n")
+        or b"\n\n" in raw
+        or (raw.startswith(b"0") and not raw.startswith(b"0\n"))
+        or _LEADING_ZERO.search(raw)
+    ):
+        return None
+    tokens = raw.split(b"\n")
+    tokens.pop()
+    try:
+        items = np.array(tokens, dtype=np.int64)
+    except OverflowError:  # an id past int64: the per-line parser names it
+        return None
+    return items, np.zeros(items.size, dtype=bool) if writes is None else writes
 
 
 class TextTraceStream(_AccessStream):
     """Chunked reader for the repo's text trace format (gzip-transparent).
+
+    The decoded text is read in blocks of about ``16 * chunk``
+    characters cut at their last newline.  A block whose lines are all
+    canonical ids (see :func:`_block_run`) is converted in one numpy
+    call; leading ``#`` lines and every other block go through the
+    per-line parser, so comments, directives, blank lines, hex, ``+``,
+    ``_``, odd whitespace and errors keep one set of semantics.
 
     Directive lines (``# universe:``/``# block_size:``) are recorded on
     ``header_universe``/``header_block`` as they are encountered — read
@@ -164,40 +324,84 @@ class TextTraceStream(_AccessStream):
         self.header_universe: Optional[int] = None
         self.header_block: Optional[int] = None
 
-    def _accesses(self) -> Iterator[Tuple[int, bool]]:
-        with open_text_source(self.path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    self._directive(line, lineno)
-                    continue
-                parts = line.split()
-                if len(parts) > 2:
+    def _runs(self) -> Iterator[_Run]:
+        lineno = 0  # lines before the current block
+        for text in _text_blocks(self.path, 16 * self.chunk):
+            head = 0
+            while text.startswith("#", head):
+                head = text.index("\n", head) + 1
+            if head:
+                lines = text[:head].split("\n")
+                lines.pop()
+                self._parse_lines(lines, 0, lineno, len(lines))
+                lineno += len(lines)
+            body = text[head:]
+            if not body:
+                continue
+            run = _block_run(body)
+            if run is not None:
+                self.fast_lines += run[0].size
+                lineno += run[0].size
+                yield run
+                continue
+            lines = body.split("\n")
+            lines.pop()
+            pos = 0
+            while pos < len(lines):
+                items, writes, pos = self._parse_lines(lines, pos, lineno, self._wanted())
+                if items:
+                    yield np.array(items, dtype=np.int64), np.array(writes, dtype=bool)
+            lineno += len(lines)
+
+    def _parse_lines(
+        self, lines: List[str], start: int, lineno: int, wanted: int
+    ) -> Tuple[List[int], List[bool], int]:
+        """Parse ``lines[start:]`` one at a time until ``wanted`` accesses
+        are found; returns them and the index after the last line read.
+        ``lineno`` is the number of source lines before ``lines[0]``."""
+        items: List[int] = []
+        writes: List[bool] = []
+        pos = start
+        while pos < len(lines) and len(items) < wanted:
+            line = lines[pos].strip()
+            pos += 1
+            if not line:
+                continue
+            if line.startswith("#"):
+                self._directive(line, lineno + pos)
+                continue
+            parts = line.split()
+            if len(parts) > 2:
+                raise TraceFormatError(
+                    f"{self.path}:{lineno + pos}: expected 'item [r|w]', "
+                    f"got {len(parts)} fields: {line!r}"
+                )
+            try:
+                item = int(parts[0], 0)
+            except ValueError as exc:
+                raise TraceFormatError(
+                    f"{self.path}:{lineno + pos}: bad item id {parts[0]!r}"
+                ) from exc
+            if item < 0:
+                raise TraceFormatError(
+                    f"{self.path}:{lineno + pos}: item ids must be non-negative, got {item}"
+                )
+            if item > _MAX_ITEM:
+                raise TraceFormatError(
+                    f"{self.path}:{lineno + pos}: item id {parts[0]!r} does not fit in int64"
+                )
+            if len(parts) > 1:
+                flag = parts[1].lower()
+                if flag not in ("r", "w"):
                     raise TraceFormatError(
-                        f"{self.path}:{lineno}: expected 'item [r|w]', "
-                        f"got {len(parts)} fields: {line!r}"
+                        f"{self.path}:{lineno + pos}: flag must be r or w, got {parts[1]!r}"
                     )
-                try:
-                    item = int(parts[0], 0)
-                except ValueError as exc:
-                    raise TraceFormatError(
-                        f"{self.path}:{lineno}: bad item id {parts[0]!r}"
-                    ) from exc
-                if item < 0:
-                    raise TraceFormatError(
-                        f"{self.path}:{lineno}: item ids must be non-negative, got {item}"
-                    )
-                if len(parts) > 1:
-                    flag = parts[1].lower()
-                    if flag not in ("r", "w"):
-                        raise TraceFormatError(
-                            f"{self.path}:{lineno}: flag must be r or w, got {parts[1]!r}"
-                        )
-                    yield item, flag == "w"
-                else:
-                    yield item, False
+                writes.append(flag == "w")
+            else:
+                writes.append(False)
+            items.append(item)
+        self.slow_lines += pos - start
+        return items, writes, pos
 
     def _directive(self, line: str, lineno: int) -> None:
         body = line[1:].strip().lower()
@@ -246,41 +450,45 @@ class MsrTraceStream(_AccessStream):
 
     def _accesses(self) -> Iterator[Tuple[int, bool]]:
         page = self.page_bytes
-        with open_text_source(self.path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) < 6:
-                    raise TraceFormatError(
-                        f"{self.path}:{lineno}: expected "
-                        "'timestamp,host,disk,type,offset,size[,latency]', "
-                        f"got {len(parts)} fields"
-                    )
-                op = parts[3].strip().lower()
-                if op not in ("read", "write"):
-                    raise TraceFormatError(
-                        f"{self.path}:{lineno}: type must be Read or Write, "
-                        f"got {parts[3].strip()!r}"
-                    )
-                try:
-                    byte_offset = int(parts[4])
-                    size = int(parts[5])
-                except ValueError as exc:
-                    raise TraceFormatError(
-                        f"{self.path}:{lineno}: offset/size must be integers, "
-                        f"got {parts[4].strip()!r}/{parts[5].strip()!r}"
-                    ) from exc
-                if byte_offset < 0 or size < 0:
-                    raise TraceFormatError(
-                        f"{self.path}:{lineno}: offset/size must be non-negative"
-                    )
-                is_write = op == "write"
-                first = byte_offset // page
-                last = (byte_offset + max(size, 1) - 1) // page
-                for pg in range(first, last + 1):
-                    yield pg, is_write
+        for lineno, raw in enumerate(_text_lines(self.path, 16 * self.chunk), start=1):
+            self.slow_lines = lineno
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) < 6:
+                raise TraceFormatError(
+                    f"{self.path}:{lineno}: expected "
+                    "'timestamp,host,disk,type,offset,size[,latency]', "
+                    f"got {len(parts)} fields"
+                )
+            op = parts[3].strip().lower()
+            if op not in ("read", "write"):
+                raise TraceFormatError(
+                    f"{self.path}:{lineno}: type must be Read or Write, "
+                    f"got {parts[3].strip()!r}"
+                )
+            try:
+                byte_offset = int(parts[4])
+                size = int(parts[5])
+            except ValueError as exc:
+                raise TraceFormatError(
+                    f"{self.path}:{lineno}: offset/size must be integers, "
+                    f"got {parts[4].strip()!r}/{parts[5].strip()!r}"
+                ) from exc
+            if byte_offset < 0 or size < 0:
+                raise TraceFormatError(
+                    f"{self.path}:{lineno}: offset/size must be non-negative"
+                )
+            is_write = op == "write"
+            first = byte_offset // page
+            last = (byte_offset + max(size, 1) - 1) // page
+            if last > _MAX_ITEM:
+                raise TraceFormatError(
+                    f"{self.path}:{lineno}: page {last} does not fit in int64"
+                )
+            for pg in range(first, last + 1):
+                yield pg, is_write
 
 
 class KvTraceStream(_AccessStream):
@@ -293,31 +501,31 @@ class KvTraceStream(_AccessStream):
     """
 
     def _accesses(self) -> Iterator[Tuple[int, bool]]:
-        with open_text_source(self.path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) < 3:
-                    raise TraceFormatError(
-                        f"{self.path}:{lineno}: expected 'timestamp,key,op[,...]', "
-                        f"got {len(parts)} fields"
-                    )
-                key = parts[1].strip()
-                if not key:
-                    raise TraceFormatError(f"{self.path}:{lineno}: empty key")
-                op = parts[2].strip().lower()
-                if op in _KV_READ_OPS:
-                    is_write = False
-                elif op in _KV_WRITE_OPS:
-                    is_write = True
-                else:
-                    raise TraceFormatError(
-                        f"{self.path}:{lineno}: unknown op {parts[2].strip()!r}"
-                    )
-                digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-                yield int.from_bytes(digest, "big") & ((1 << 63) - 1), is_write
+        for lineno, raw in enumerate(_text_lines(self.path, 16 * self.chunk), start=1):
+            self.slow_lines = lineno
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) < 3:
+                raise TraceFormatError(
+                    f"{self.path}:{lineno}: expected 'timestamp,key,op[,...]', "
+                    f"got {len(parts)} fields"
+                )
+            key = parts[1].strip()
+            if not key:
+                raise TraceFormatError(f"{self.path}:{lineno}: empty key")
+            op = parts[2].strip().lower()
+            if op in _KV_READ_OPS:
+                is_write = False
+            elif op in _KV_WRITE_OPS:
+                is_write = True
+            else:
+                raise TraceFormatError(
+                    f"{self.path}:{lineno}: unknown op {parts[2].strip()!r}"
+                )
+            digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+            yield int.from_bytes(digest, "big") & ((1 << 63) - 1), is_write
 
 
 class StreamingDensifier:
@@ -522,25 +730,24 @@ def _sniff_text_directives(path: Path) -> Tuple[Optional[int], Optional[int]]:
     """
     universe: Optional[int] = None
     block: Optional[int] = None
-    with open_text_source(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if not line.startswith("#"):
-                break
-            body = line[1:].strip().lower()
-            key, sep, value = body.partition(":")
-            if not sep:
-                continue
-            try:
-                parsed = int(value)
-            except ValueError:
-                continue  # the main pass raises the proper error
-            if key.strip() == "universe":
-                universe = parsed
-            elif key.strip() == "block_size":
-                block = parsed
+    for raw in _text_lines(path, 4096):
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.startswith("#"):
+            break
+        body = line[1:].strip().lower()
+        key, sep, value = body.partition(":")
+        if not sep:
+            continue
+        try:
+            parsed = int(value)
+        except ValueError:
+            continue  # the main pass raises the proper error
+        if key.strip() == "universe":
+            universe = parsed
+        elif key.strip() == "block_size":
+            block = parsed
     return universe, block
 
 
