@@ -60,18 +60,27 @@ CAPACITIES = [4096, 16_384, 65_536, 131_072]
 SAMPLER_SEED = 0
 CONVERT_CHUNK = 8192
 
-# The child measures its own high-water mark with getrusage, so the
-# parent's (much larger) in-memory workload generation cannot leak in.
+# The child measures its own high-water mark, ``VmHWM`` from
+# /proc/self/status (Linux), after its imports.  ``ru_maxrss`` would not
+# do: Linux carries it across fork+exec, so the child would start at the
+# parent's (much larger) peak from generating the workload in memory.
 _RSS_CHILD = r"""
-import json, resource, sys, time
+import json, sys, time
 from repro.workloads.stream import convert_to_rtc
 
+def vm_hwm_kb():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
 src, out, chunk = sys.argv[1], sys.argv[2], int(sys.argv[3])
-baseline_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+baseline_kb = vm_hwm_kb()
 t0 = time.perf_counter()
 convert_to_rtc(src, out, chunk=chunk)
 seconds = time.perf_counter() - t0
-peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+peak_kb = vm_hwm_kb()
 print(json.dumps({"baseline_kb": baseline_kb, "peak_kb": peak_kb, "seconds": seconds}))
 """
 

@@ -2,13 +2,14 @@
 
 :func:`replay_cluster` scales the single-cache :func:`simulate` to an
 N-shard cluster.  One vectorized routing pass splits the trace by
-shard (:meth:`ShardRouter.split`), each shard then replays *its own*
-sub-trace through an independent policy instance — via the fast
-kernels when they apply, the referee otherwise — and the per-shard
-taxonomies merge exactly (every access is served by exactly one
-shard).  Total replay work is therefore one traversal of the trace
+shard (:meth:`ShardRouter.split`) and also yields the block-split
+statistics (:func:`~repro.cluster.router.split_stats`); each shard then
+replays *its own* sub-trace through an independent policy instance —
+via the fast kernels when they apply, the referee otherwise — and the
+per-shard taxonomies merge exactly (every access is served by exactly
+one shard).  Total replay work is therefore one traversal of the trace
 plus the O(n) routing pass, which is what the ``bench_cluster.py``
-≤2× overhead gate pins.
+overhead gates pin (≤2× on the referee, ≤1.4× on the fast path).
 
 The crucial modeling decision: **shard policies keep the full block
 mapping.**  A shard's policy replays only the accesses routed to it,
@@ -50,7 +51,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.result import ClusterResult
-from repro.cluster.router import ShardRouter
+from repro.cluster.router import ShardRouter, split_stats
 from repro.core.engine import simulate
 from repro.core.mapping import FixedBlockMapping
 from repro.core.trace import Trace
@@ -270,7 +271,9 @@ def replay_cluster(
     ):
         with spans.span("cluster.route", scheme=cluster.scheme) as sp:
             plan = router.split(trace)
-            block_stats = router.block_split_stats(trace)
+            block_stats = split_stats(
+                trace.block_trace(), plan.shard_of, cluster.n_shards
+            )
             if sp is not None:
                 sp.set("blocks_split", block_stats["blocks_split"])
         shard_capacity = cluster.shard_capacity(capacity)

@@ -53,7 +53,13 @@ from repro.core.mapping import BlockMapping
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
 
-__all__ = ["ShardRouter", "RoutingPlan", "SCHEMES", "derived_fingerprint"]
+__all__ = [
+    "ShardRouter",
+    "RoutingPlan",
+    "SCHEMES",
+    "derived_fingerprint",
+    "split_stats",
+]
 
 #: Hash schemes a router understands (see the module docstring).
 SCHEMES: Tuple[str, ...] = ("block", "item", "modulo")
@@ -97,6 +103,33 @@ def derived_fingerprint(parent_fp: str, identity_json: str, shard: int) -> str:
         _FP_CACHE.clear()
     _FP_CACHE[key] = digest
     return digest
+
+
+def split_stats(
+    blocks: np.ndarray, shard_of: np.ndarray, n_shards: int
+) -> Dict[str, Any]:
+    """Block-split statistics of one routing (see
+    :meth:`ShardRouter.block_split_stats`).
+
+    ``blocks[i]`` and ``shard_of[i]`` are access ``i``'s block and
+    shard.  Each distinct (block, shard) pair is one 1-D key, the
+    block's dense index times ``n_shards`` plus the shard, which stays
+    below ``len(blocks) * n_shards`` whatever the block ids are.
+    """
+    if not blocks.size:
+        return {
+            "blocks_referenced": 0,
+            "blocks_split": 0,
+            "mean_shards_per_block": 0.0,
+        }
+    referenced, dense = np.unique(blocks, return_inverse=True)
+    pairs = np.unique(dense.astype(np.int64) * n_shards + shard_of)
+    spread = np.bincount(pairs // n_shards, minlength=referenced.size)
+    return {
+        "blocks_referenced": int(referenced.size),
+        "blocks_split": int(np.count_nonzero(spread > 1)),
+        "mean_shards_per_block": float(spread.mean()),
+    }
 
 
 @dataclass
@@ -242,24 +275,14 @@ class ShardRouter:
         ``blocks_split`` counts referenced blocks whose items land on
         more than one shard (always 0 for the block-aware scheme);
         ``mean_shards_per_block`` averages the per-block shard spread.
+        :func:`replay_cluster` gets the same statistics from its
+        routing pass through :func:`split_stats`.
         """
-        if not len(trace):
-            return {
-                "blocks_referenced": 0,
-                "blocks_split": 0,
-                "mean_shards_per_block": 0.0,
-            }
-        blocks = trace.block_trace()
-        shards = self.shards_of(trace.items, trace.mapping)
-        pairs = np.unique(
-            np.stack([blocks, shards], axis=1), axis=0
+        return split_stats(
+            trace.block_trace(),
+            self.shards_of(trace.items, trace.mapping),
+            self.n_shards,
         )
-        referenced, spread = np.unique(pairs[:, 0], return_counts=True)
-        return {
-            "blocks_referenced": int(referenced.size),
-            "blocks_split": int(np.count_nonzero(spread > 1)),
-            "mean_shards_per_block": float(spread.mean()),
-        }
 
     # -- identity / serialization ------------------------------------------
     def identity(self) -> Dict[str, Any]:

@@ -5,12 +5,12 @@
 ``access(item)`` → :class:`~repro.types.HitKind`, a live merged
 ``result``, a ``resident`` membership view for the SJF queue — while
 routing every request to its owning shard's engine through a
-precomputed item→shard table (one array index per access, no per-access
-hashing).  :func:`serve_cluster` then reuses the *unmodified* serving
-event loop via ``serve(engine=...)``: arrivals, queueing, drops, and
-histograms all behave exactly as in the single-cache case, so tail
-latency differences between hash schemes come from cache behaviour
-alone.
+precomputed item→shard table over the trace's distinct items (one dict
+lookup per access, no per-access hashing, memory O(distinct items)).
+:func:`serve_cluster` then reuses the *unmodified* serving event loop
+via ``serve(engine=...)``: arrivals, queueing, drops, and histograms
+all behave exactly as in the single-cache case, so tail latency
+differences between hash schemes come from cache behaviour alone.
 
 At ``n_shards=1`` every request routes to shard 0 with the full
 capacity, so the served cache stream — and the embedded
@@ -21,7 +21,7 @@ capacity, so the served cache stream — and the embedded
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -40,17 +40,19 @@ class _ClusterResident:
 
     The serving loop's SJF queue only asks ``item in engine.resident``;
     delegating to the owning shard keeps that O(1) and honest (an item
-    is resident in the cluster iff its shard holds it).
+    is resident in the cluster iff its shard holds it).  An item the
+    trace never references has no shard and is never resident.
     """
 
     __slots__ = ("_engines", "_lookup")
 
-    def __init__(self, engines: List[Engine], lookup: np.ndarray) -> None:
+    def __init__(self, engines: List[Engine], lookup: Dict[int, int]) -> None:
         self._engines = engines
         self._lookup = lookup
 
     def __contains__(self, item: int) -> bool:
-        return item in self._engines[self._lookup[item]].resident
+        shard = self._lookup.get(item)
+        return shard is not None and item in self._engines[shard].resident
 
     def __len__(self) -> int:
         return sum(len(engine.resident) for engine in self._engines)
@@ -100,10 +102,15 @@ class ClusterEngine:
         self.engines = [
             Engine(inst, trace.mapping, validate=validate) for inst in instances
         ]
-        #: item id → shard id, precomputed over the whole universe so the
-        #: per-access routing cost is one array index.
-        self._lookup = router.shards_of(
-            np.arange(trace.mapping.universe, dtype=np.int64), trace.mapping
+        #: item id → shard id over the trace's distinct items: the
+        #: per-access routing cost is one dict lookup, and the table
+        #: grows with the trace, not the universe.
+        distinct = np.unique(trace.items)
+        self._lookup: Dict[int, int] = dict(
+            zip(
+                distinct.tolist(),
+                router.shards_of(distinct, trace.mapping).tolist(),
+            )
         )
         self.resident = _ClusterResident(self.engines, self._lookup)
         self.result = SimResult(

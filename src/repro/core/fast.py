@@ -959,7 +959,15 @@ def _kernel_iblp(
     record: _Record,
     loads: _Record,
 ):
-    """IBLP (canonical and block-first ablation) with union refcounting.
+    """IBLP (canonical and block-first ablation) over two layer sets.
+
+    A block sits in the block layer at most once and blocks are
+    disjoint, so the block layer's items (``bitems``) are too: an item
+    is resident iff it is in the item layer or in ``bitems``, and
+    ``len(bitems)`` is the block layer's occupancy.  That stands in for
+    the referee's per-item layer refcounts: a victim is evicted only if
+    it is in neither layer, a member is loaded only if it was in
+    neither layer.
 
     ``block_first`` reproduces
     :class:`~repro.policies.iblp.BlockFirstIBLP`: the block layer's
@@ -970,129 +978,97 @@ def _kernel_iblp(
     bls = capacity - ils
     items_d: Dict[int, None] = {}  # item layer, insertion order = LRU→MRU
     blocks_d: Dict[int, Tuple[int, ...]] = {}  # block layer
-    refcount: Dict[int, int] = {}  # item -> number of layers holding it
-    occupancy_cell = [0]  # item slots used by the block layer
+    bitems: set = set()  # items held by the block layer
     pending: set = set()
-    scratch: set = set()  # a promotion's evictions (empty between accesses)
     members_of = ct.block_members
     st = [0, 0, 0, 0, 0]  # misses, temporal, spatial, loaded_n, evicted_n
 
-    def acquire(x: int, loaded: set) -> None:
-        n = refcount.get(x, 0)
-        refcount[x] = n + 1
-        if n == 0:
-            loaded.add(x)
-
-    def release(x: int, evicted: set) -> None:
-        n = refcount[x] - 1
-        if n:
-            refcount[x] = n
-        else:
-            del refcount[x]
-            evicted.add(x)
-
-    def item_insert(x: int, loaded: set, evicted: set) -> None:
-        if ils == 0:
-            return
-        if x in items_d:
-            items_d[x] = items_d.pop(x)
-            return
-        if len(items_d) >= ils:
-            victim = next(iter(items_d))
-            del items_d[victim]
-            release(victim, evicted)
-        items_d[x] = None
-        acquire(x, loaded)
-
-    def block_insert(blk: int, x: int, loaded: set, evicted: set) -> None:
-        if bls == 0:
-            return
-        if blk in blocks_d:
-            stale = blocks_d.pop(blk)
-            occupancy_cell[0] -= len(stale)
-            for s in stale:
-                release(s, evicted)
-        members = members_of[blk]
-        load = members
-        if len(members) > bls:
-            keep = [x] + [m for m in members if m != x]
-            load = tuple(keep[:bls])
-        while occupancy_cell[0] + len(load) > bls:
-            victim_block = next(iter(blocks_d))
-            victim_items = blocks_d.pop(victim_block)
-            occupancy_cell[0] -= len(victim_items)
-            for v in victim_items:
-                release(v, evicted)
-        blocks_d[blk] = load
-        occupancy_cell[0] += len(load)
-        for member in load:
-            acquire(member, loaded)
-
     def run(items: List[int], blocks: List[int], dense: List[int]) -> None:
         misses, temporal, spatial, loaded_n, evicted_n = st
-        pend = pending
+        pend, idl, bd, bit = pending, items_d, blocks_d, bitems
         for it, blk in zip(items, blocks):
-            if block_first:
-                block_hit = blk in blocks_d
-                if block_hit:
-                    blocks_d[blk] = blocks_d.pop(blk)  # harmful reordering
-            if it in items_d:
-                items_d[it] = items_d.pop(it)  # pure item-layer hit
-                if it in pend:
-                    pend.discard(it)
-                    spatial += 1
-                    if record is not None:
-                        record.append(KIND_SPATIAL)
-                else:
-                    temporal += 1
-                    if record is not None:
-                        record.append(KIND_TEMPORAL)
-                continue
-            if not block_first:
-                block_hit = blk in blocks_d
-            if block_hit and it in refcount:
+            if block_first and blk in bd:
+                bd[blk] = bd.pop(blk)  # harmful reordering
+            if it in idl:
+                idl[it] = idl.pop(it)  # pure item-layer hit
+            elif it in bit:
                 # Block-layer hit: refresh recency, promote the item.
-                # ``it`` already holds a copy, so the promotion loads
-                # nothing and ``scratch`` collects only the item-layer
-                # victim, if it lost its last copy.
+                # ``it`` stays resident, so the promotion loads nothing;
+                # its item-layer victim is evicted only if the block
+                # layer lacks it.
                 if not block_first:
-                    blocks_d[blk] = blocks_d.pop(blk)
-                item_insert(it, scratch, scratch)
-                if scratch:
-                    evicted_n += len(scratch)
-                    pend -= scratch
-                    scratch.clear()
-                if it in pend:
-                    pend.discard(it)
-                    spatial += 1
-                    if record is not None:
-                        record.append(KIND_SPATIAL)
+                    bd[blk] = bd.pop(blk)
+                if ils:
+                    if len(idl) >= ils:
+                        victim = next(iter(idl))
+                        del idl[victim]
+                        if victim not in bit:
+                            evicted_n += 1
+                            pend.discard(victim)
+                    idl[it] = None
+            else:
+                # Full miss: ``it`` is in neither layer; both layers load.
+                evicted: set = set()
+                if ils:
+                    if len(idl) >= ils:
+                        victim = next(iter(idl))
+                        del idl[victim]
+                        if victim not in bit:
+                            evicted.add(victim)
+                    idl[it] = None
+                if bls:
+                    # Block-layer victims (and a trimmed residue's stale
+                    # entry) are evicted unless the item layer holds them.
+                    if blk in bd:
+                        stale = bd.pop(blk)
+                        bit.difference_update(stale)
+                        evicted.update(stale)
+                    load = members_of[blk]
+                    if len(load) > bls:
+                        keep = [it] + [m for m in load if m != it]
+                        load = tuple(keep[:bls])
+                    while len(bit) + len(load) > bls:
+                        victim_items = bd.pop(next(iter(bd)))
+                        bit.difference_update(victim_items)
+                        evicted.update(victim_items)
+                    bd[blk] = load
+                    bit.update(load)
+                    if evicted:
+                        evicted = evicted.difference(idl)
+                    # No item of ``blk`` was left in the block layer, so
+                    # a member was in neither layer iff the item layer
+                    # lacks it; ``it`` was loaded by the item layer.
+                    loaded = set(load).difference(idl)
+                    if ils:
+                        loaded.add(it)
                 else:
-                    temporal += 1
-                    if record is not None:
-                        record.append(KIND_TEMPORAL)
+                    loaded = {it}
+                if evicted and not loaded.isdisjoint(evicted):
+                    churn = loaded & evicted
+                    loaded -= churn
+                    evicted -= churn
+                misses += 1
+                n_loaded = len(loaded)
+                loaded_n += n_loaded
+                if loads is not None:
+                    loads.append(n_loaded)
+                evicted_n += len(evicted)
+                pend -= evicted
+                pend |= loaded
+                if it in loaded:
+                    pend.discard(it)
+                if record is not None:
+                    record.append(KIND_MISS)
                 continue
-            # Full miss: both layers load.
-            loaded: set = set()
-            evicted: set = set()
-            item_insert(it, loaded, evicted)
-            block_insert(blk, it, loaded, evicted)
-            if evicted and not loaded.isdisjoint(evicted):
-                churn = loaded & evicted
-                loaded -= churn
-                evicted -= churn
-            misses += 1
-            n_loaded = len(loaded)
-            loaded_n += n_loaded
-            if loads is not None:
-                loads.append(n_loaded)
-            evicted_n += len(evicted)
-            pend -= evicted
-            pend |= loaded
-            if it in loaded:
+            if it in pend:
                 pend.discard(it)
-            if record is not None:
-                record.append(KIND_MISS)
+                spatial += 1
+                if record is not None:
+                    record.append(KIND_SPATIAL)
+            else:
+                temporal += 1
+                if record is not None:
+                    record.append(KIND_TEMPORAL)
         st[0], st[1], st[2], st[3], st[4] = (
             misses,
             temporal,
@@ -1121,11 +1097,12 @@ def _kernel_iblp_adaptive(
     ghost lists move the float layer boundary (+1 per item-ghost hit,
     -B per block-ghost hit), layers shed lazily, and all victims are
     remembered in bounded ghosts — exactly the referee's order of
-    operations, so the boundary trajectory is identical.
+    operations, so the boundary trajectory is identical.  Residency is
+    the two layer sets of :func:`_kernel_iblp`.
     """
     items_d: Dict[int, None] = {}
     blocks_d: Dict[int, Tuple[int, ...]] = {}
-    refcount: Dict[int, int] = {}
+    bitems: set = set()  # items held by the block layer
     ghost_items: Dict[int, None] = {}
     ghost_blocks: Dict[int, None] = {}
     ghost_item_cap = max(1, int(capacity * ghost_factor))
@@ -1133,25 +1110,10 @@ def _kernel_iblp_adaptive(
     pending: set = set()
     scratch: set = set()  # a promotion's evictions (empty between accesses)
     members_of = ct.block_members
-    # target_i (float) and block occupancy live in cells: the helpers
-    # below mutate them across chunk boundaries.
+    # target_i (float) lives in a cell: the helpers below move it
+    # across chunk boundaries.
     target = [capacity * initial_item_fraction]
-    occ = [0]
     st = [0, 0, 0, 0, 0]  # misses, temporal, spatial, loaded_n, evicted_n
-
-    def acquire(x: int, loaded: set) -> None:
-        n = refcount.get(x, 0)
-        refcount[x] = n + 1
-        if n == 0:
-            loaded.add(x)
-
-    def release(x: int, evicted: set) -> None:
-        n = refcount[x] - 1
-        if n:
-            refcount[x] = n
-        else:
-            del refcount[x]
-            evicted.add(x)
 
     def remember_item(x: int) -> None:
         if x in ghost_items:
@@ -1169,21 +1131,27 @@ def _kernel_iblp_adaptive(
             if len(ghost_blocks) > ghost_block_cap:
                 del ghost_blocks[next(iter(ghost_blocks))]
 
-    def shrink_layers(loaded: set, evicted: set) -> None:
+    def evict_item(evicted: set) -> None:
+        victim = next(iter(items_d))
+        del items_d[victim]
+        remember_item(victim)
+        if victim not in bitems:
+            evicted.add(victim)
+
+    def evict_block(evicted: set) -> None:
+        blk = next(iter(blocks_d))
+        members = blocks_d.pop(blk)
+        bitems.difference_update(members)
+        remember_block(blk)
+        evicted.update(members)
+
+    def shrink_layers(evicted: set) -> None:
         i_cap = int(target[0])
         b_cap = capacity - i_cap
         while len(items_d) > i_cap:
-            victim = next(iter(items_d))
-            del items_d[victim]
-            remember_item(victim)
-            release(victim, evicted)
-        while occ[0] > b_cap and blocks_d:
-            blk = next(iter(blocks_d))
-            members = blocks_d.pop(blk)
-            occ[0] -= len(members)
-            remember_block(blk)
-            for x in members:
-                release(x, evicted)
+            evict_item(evicted)
+        while len(bitems) > b_cap and blocks_d:
+            evict_block(evicted)
 
     def promote(x: int, loaded: set, evicted: set) -> None:
         i_cap = int(target[0])
@@ -1193,50 +1161,34 @@ def _kernel_iblp_adaptive(
             items_d[x] = items_d.pop(x)
             return
         while len(items_d) >= i_cap and items_d:
-            victim = next(iter(items_d))
-            del items_d[victim]
-            remember_item(victim)
-            release(victim, evicted)
+            evict_item(evicted)
         items_d[x] = None
-        acquire(x, loaded)
-
-    def promote_forced(x: int, loaded: set, evicted: set) -> None:
-        if len(items_d) >= max(1, int(target[0])):
-            victim = next(iter(items_d))
-            del items_d[victim]
-            remember_item(victim)
-            release(victim, evicted)
-        items_d[x] = None
-        acquire(x, loaded)
+        if x not in bitems:
+            loaded.add(x)
 
     def insert_block(blk: int, x: int, loaded: set, evicted: set) -> None:
         b_cap = capacity - int(target[0])
         if b_cap == 0:
             # No block layer: ensure the item itself is resident.
-            if x not in refcount:
-                promote_forced(x, loaded, evicted)
+            if x not in items_d and x not in bitems:
+                if len(items_d) >= max(1, int(target[0])):
+                    evict_item(evicted)
+                items_d[x] = None
+                loaded.add(x)
             return
         if blk in blocks_d:
             stale = blocks_d.pop(blk)
-            occ[0] -= len(stale)
-            for s in stale:
-                release(s, evicted)
-        members = members_of[blk]
-        load = members
-        if len(members) > b_cap:
-            keep = [x] + [m for m in members if m != x]
+            bitems.difference_update(stale)
+            evicted.update(stale)
+        load = members_of[blk]
+        if len(load) > b_cap:
+            keep = [x] + [m for m in load if m != x]
             load = tuple(keep[:b_cap])
-        while occ[0] + len(load) > b_cap and blocks_d:
-            victim_block = next(iter(blocks_d))
-            victim_items = blocks_d.pop(victim_block)
-            occ[0] -= len(victim_items)
-            remember_block(victim_block)
-            for v in victim_items:
-                release(v, evicted)
+        while len(bitems) + len(load) > b_cap and blocks_d:
+            evict_block(evicted)
         blocks_d[blk] = load
-        occ[0] += len(load)
-        for member in load:
-            acquire(member, loaded)
+        bitems.update(load)
+        loaded.update(set(load).difference(items_d))
 
     def run(items: List[int], blocks: List[int], dense: List[int]) -> None:
         misses, temporal, spatial, loaded_n, evicted_n = st
@@ -1244,17 +1196,7 @@ def _kernel_iblp_adaptive(
         for it, blk in zip(items, blocks):
             if it in items_d:
                 items_d[it] = items_d.pop(it)
-                if it in pend:
-                    pend.discard(it)
-                    spatial += 1
-                    if record is not None:
-                        record.append(KIND_SPATIAL)
-                else:
-                    temporal += 1
-                    if record is not None:
-                        record.append(KIND_TEMPORAL)
-                continue
-            if blk in blocks_d and it in refcount:
+            elif it in bitems:
                 # Block-layer hit: promote without a load (see IBLP).
                 blocks_d[blk] = blocks_d.pop(blk)
                 promote(it, scratch, scratch)
@@ -1262,44 +1204,48 @@ def _kernel_iblp_adaptive(
                     evicted_n += len(scratch)
                     pend -= scratch
                     scratch.clear()
-                if it in pend:
+            else:
+                loaded: set = set()
+                evicted: set = set()
+                # Miss: consult the ghosts to move the boundary first.
+                if it in ghost_items:
+                    del ghost_items[it]
+                    target[0] = min(float(capacity), target[0] + 1.0)
+                elif blk in ghost_blocks:
+                    del ghost_blocks[blk]
+                    target[0] = max(0.0, target[0] - float(max_block_size))
+                shrink_layers(evicted)
+                promote(it, loaded, evicted)
+                insert_block(blk, it, loaded, evicted)
+                if evicted:
+                    # Block-layer releases stay resident in the item layer.
+                    evicted = evicted.difference(items_d)
+                if evicted and not loaded.isdisjoint(evicted):
+                    churn = loaded & evicted
+                    loaded -= churn
+                    evicted -= churn
+                misses += 1
+                n_loaded = len(loaded)
+                loaded_n += n_loaded
+                if loads is not None:
+                    loads.append(n_loaded)
+                evicted_n += len(evicted)
+                pend -= evicted
+                pend |= loaded
+                if it in loaded:
                     pend.discard(it)
-                    spatial += 1
-                    if record is not None:
-                        record.append(KIND_SPATIAL)
-                else:
-                    temporal += 1
-                    if record is not None:
-                        record.append(KIND_TEMPORAL)
+                if record is not None:
+                    record.append(KIND_MISS)
                 continue
-            loaded: set = set()
-            evicted: set = set()
-            # Miss: consult the ghosts to move the boundary first.
-            if it in ghost_items:
-                del ghost_items[it]
-                target[0] = min(float(capacity), target[0] + 1.0)
-            elif blk in ghost_blocks:
-                del ghost_blocks[blk]
-                target[0] = max(0.0, target[0] - float(max_block_size))
-            shrink_layers(loaded, evicted)
-            promote(it, loaded, evicted)
-            insert_block(blk, it, loaded, evicted)
-            if evicted and not loaded.isdisjoint(evicted):
-                churn = loaded & evicted
-                loaded -= churn
-                evicted -= churn
-            misses += 1
-            n_loaded = len(loaded)
-            loaded_n += n_loaded
-            if loads is not None:
-                loads.append(n_loaded)
-            evicted_n += len(evicted)
-            pend -= evicted
-            pend |= loaded
-            if it in loaded:
+            if it in pend:
                 pend.discard(it)
-            if record is not None:
-                record.append(KIND_MISS)
+                spatial += 1
+                if record is not None:
+                    record.append(KIND_SPATIAL)
+            else:
+                temporal += 1
+                if record is not None:
+                    record.append(KIND_TEMPORAL)
         st[0], st[1], st[2], st[3], st[4] = (
             misses,
             temporal,

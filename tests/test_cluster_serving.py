@@ -8,10 +8,15 @@ every arrival exactly once under both hash schemes and both queue
 disciplines, with the scheme's effect confined to the cache taxonomy.
 """
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
 from repro.cluster.serving_bridge import ClusterEngine, serve_cluster
+from repro.core.mapping import FixedBlockMapping
+from repro.core.trace import Trace
 from repro.serving import ArrivalSpec, ServiceModel, ServingConfig, serve_policy
 from repro.workloads import markov_spatial
 
@@ -96,3 +101,42 @@ def test_cluster_engine_merges_counters_and_tracks_outcomes():
     assert engine.result.loaded_items == shard_sums["loaded_items"]
     assert engine.result.evicted_items == shard_sums["evicted_items"]
     assert len(engine.resident) <= CAPACITY
+
+
+def sparse_trace():
+    """3000 accesses over 2000 distinct items of a 2**24-item universe."""
+    rng = np.random.default_rng(4)
+    distinct = rng.choice(1 << 24, size=2000, replace=False)
+    items = distinct[rng.integers(0, distinct.size, size=3000)]
+    return Trace(items, FixedBlockMapping(1 << 24, 8))
+
+
+def test_serving_memory_follows_the_trace_not_the_universe():
+    tr = sparse_trace()
+    tracemalloc.start()
+    try:
+        result = serve_cluster(
+            "iblp",
+            CAPACITY,
+            tr,
+            ClusterSpec(n_shards=4, scheme="item"),
+            config(queue="sjf"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.completions == len(tr)
+    # A universe-sized routing table alone would be 128 MiB.
+    assert peak < 16 * 2**20, f"serve_cluster peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_items_outside_the_trace_are_never_resident():
+    tr = sparse_trace()
+    engine = ClusterEngine(
+        "item-lru", CAPACITY, tr, ClusterSpec(n_shards=4, scheme="block")
+    )
+    for item in tr.items[:200].tolist():
+        engine.access(item)
+    absent = int(np.setdiff1d(np.arange(64), tr.items)[0])
+    assert absent not in engine.resident
+    assert tr.items[199] in engine.resident

@@ -13,6 +13,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.policies.adaptive_iblp
 import repro.policies.athreshold
@@ -382,3 +384,45 @@ def test_athreshold_loads_never_meet_its_evictions():
     assert _referee_churn("athreshold-lru", 3, trace, a=1) == {}
     assert_conformant("athreshold-lru", 3, trace, a=1)
     assert_loads_conformant("athreshold-lru", 3, trace, a=1)
+
+
+# -- IBLP layer sets ----------------------------------------------------------
+#
+# The IBLP kernels keep residency as two layer sets (item layer, block-layer
+# items) instead of the referee's per-item layer refcounts.  Random small
+# traces over a ragged final block, every capacity up to 12 and every split,
+# hold them to the referee's outcome stream and per-miss load sizes.
+
+
+@st.composite
+def _ragged_traces(draw):
+    B = draw(st.integers(1, 5))
+    n_blocks = draw(st.integers(1, 64 // B - (B > 1)))
+    universe = n_blocks * B + (draw(st.integers(1, B - 1)) if B > 1 else 0)
+    items = draw(st.lists(st.integers(0, universe - 1), max_size=300))
+    return _trace(items, universe=universe, B=B)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trace=_ragged_traces(),
+    name=st.sampled_from(["iblp", "iblp-blockfirst"]),
+    capacity=st.integers(1, 12),
+    data=st.data(),
+)
+def test_iblp_layer_sets_conform(trace, name, capacity, data):
+    split = data.draw(st.integers(0, capacity), label="item_layer_size")
+    assert_conformant(name, capacity, trace, item_layer_size=split)
+    assert_loads_conformant(name, capacity, trace, item_layer_size=split)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    trace=_ragged_traces(),
+    capacity=st.integers(1, 12),
+    fraction=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_adaptive_iblp_layer_sets_conform(trace, capacity, fraction):
+    kwargs = {"initial_item_fraction": fraction}
+    assert_conformant("iblp-adaptive", capacity, trace, **kwargs)
+    assert_loads_conformant("iblp-adaptive", capacity, trace, **kwargs)
