@@ -4,15 +4,14 @@ Times an Item-LRU capacity sweep (12 capacities, 10^6-access Zipf
 trace by default) two ways:
 
 * **baseline** — the pre-batching parallel path, faithfully
-  reproduced: a ``functools.partial(simulate_cell)`` worker (``sweep``
-  collapses only cells bound for ``simulate_cell`` itself, so every
-  cell replays alone) plus ``REPRO_NO_COMPILE_MEMO=1`` (the
+  reproduced: a parallel ``sweep`` of ``simulate_cell`` (every cell
+  replays alone in a worker) plus ``REPRO_NO_COMPILE_MEMO=1`` (the
   fingerprint-keyed compile memo would otherwise spare the baseline
   the per-cell recompiles it historically paid) and ``REPRO_NO_SHM=1``
   (per-cell trace pickling instead of arenas);
-* **batched** — ``sweep`` as shipped: the grid collapses into one
-  ``multi_policy_replay`` call in the parent, answered by a single
-  Mattson pass.
+* **batched** — ``UNCACHED.simulate_many``, the experiments' batching
+  stage: the grid becomes one ``multi_policy_replay`` call in the
+  parent, answered by a single Mattson pass.
 
 Asserts the two row sets are bit-identical, re-certifies the batched
 kernel against the validating referee on a trace prefix, writes
@@ -33,7 +32,6 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_sweep.py``.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 
@@ -41,6 +39,7 @@ import pytest
 
 from _harness import metric, write_bench
 from repro.analysis.sweep import default_workers, grid, simulate_cell, sweep
+from repro.campaign import UNCACHED
 from repro.core.conformance import assert_multi_capacity_conformant
 from repro.core.trace import Trace
 from repro.workloads import zipf_items
@@ -68,10 +67,19 @@ def _strip(rows):
     ]
 
 
-def _timed_sweep(worker, cells, workers):
+def _timed_sweep(cells, workers):
     t0 = time.perf_counter()
-    rows = sweep(worker, cells, parallel=True, max_workers=workers)
+    rows = sweep(simulate_cell, cells, parallel=True, max_workers=workers)
     return time.perf_counter() - t0, rows
+
+
+def _timed_batch(cells, trace):
+    t0 = time.perf_counter()
+    results = UNCACHED.simulate_many(
+        [(cell["policy"], cell["capacity"]) for cell in cells], trace
+    )
+    elapsed = time.perf_counter() - t0
+    return elapsed, [{**cell, **res.as_row()} for cell, res in zip(cells, results)]
 
 
 def test_batched_sweep_gate(bench_trace, capacities, out_dir):
@@ -88,9 +96,7 @@ def test_batched_sweep_gate(bench_trace, capacities, out_dir):
     os.environ["REPRO_NO_COMPILE_MEMO"] = "1"
     os.environ["REPRO_NO_SHM"] = "1"
     try:
-        t_baseline, baseline_rows = _timed_sweep(
-            functools.partial(simulate_cell), cells, workers
-        )
+        t_baseline, baseline_rows = _timed_sweep(cells, workers)
     finally:
         for key, value in saved.items():
             if value is None:
@@ -98,7 +104,7 @@ def test_batched_sweep_gate(bench_trace, capacities, out_dir):
             else:
                 os.environ[key] = value
 
-    t_batched, batched_rows = _timed_sweep(simulate_cell, cells, workers)
+    t_batched, batched_rows = _timed_batch(cells, bench_trace)
 
     # Identical rows, cell for cell: batching is a pure optimization.
     assert _strip(batched_rows) == _strip(baseline_rows)

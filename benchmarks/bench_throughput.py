@@ -1,9 +1,9 @@
 """E-PERF: simulator throughput (accesses per second).
 
 Timing benches proper: policy hot loops on realistic workloads, the
-referee's overhead, the LinkedLRU vs OrderedLRU substrate choice, and
-the instrumentation audit.  Run with
-``pytest benchmarks/ --benchmark-only`` to get ops/sec; the
+referee's overhead, the LinkedLRU substrate, and the instrumentation
+audit.  Run with ``pytest benchmarks/ --benchmark-only`` to get
+ops/sec; the
 instrumentation matrix also writes
 ``benchmarks/out/throughput_overhead.csv`` plus the flight-recorder
 file ``BENCH_throughput.json`` and enforces the instrumentation
@@ -24,7 +24,6 @@ from repro.core.engine import simulate
 from repro.core.fast import compile_trace, fast_simulate
 from repro.policies import make_policy
 from repro.structs.linked_lru import LinkedLRU
-from repro.structs.ordered_lru import OrderedLRU
 from repro.telemetry import Recorder, RingBufferSink, spans
 from repro.telemetry.spans import SpanTracer
 from repro.workloads import markov_spatial, zipf_items
@@ -104,10 +103,6 @@ def lru_keys():
 
 def test_linked_lru_throughput(benchmark, lru_keys):
     assert benchmark(_lru_workout, LinkedLRU, lru_keys) == 512
-
-
-def test_ordered_lru_throughput(benchmark, lru_keys):
-    assert benchmark(_lru_workout, OrderedLRU, lru_keys) == 512
 
 
 def _telemetry_recorder(mode: str):

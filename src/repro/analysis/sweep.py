@@ -1,4 +1,4 @@
-"""Parameter sweeps with optional process parallelism and batching.
+"""Parameter sweeps with optional process parallelism.
 
 Experiments and benches sweep (policy, capacity, workload) grids; each
 cell is an independent simulation, so the sweep is embarrassingly
@@ -8,24 +8,17 @@ and its arguments must be picklable (module-level functions, plain
 data).  Results always come back in grid order regardless of
 completion order, so parallel and serial runs are bit-identical.
 
-Two transparent accelerations sit on top (both pure optimizations —
-rows are bit-identical to per-cell replay):
+:func:`sweep` is a plain ordered map: every cell runs through ``fn`` on
+its own.  Batching cells that share a trace into one
+:func:`repro.core.fast.multi_policy_replay` traversal is
+:meth:`repro.campaign.CampaignCache.simulate_many`'s job (see
+``docs/fastpath.md``).
 
-* **Per-trace collapse**: plain :func:`simulate_cell` fast-path cells
-  over kernel-covered policies collapse per trace into one
-  :func:`repro.core.fast.multi_policy_replay` call — the whole policy
-  axis of an ablation matrix costs one pass over the compiled trace
-  instead of one replay per policy, and Item-LRU/Block-LRU capacity
-  axes inside it collapse further into one O(T log T) Mattson
-  stack-distance pass.  The collapse is conservative: any extra cell
-  key, a kernel-less policy, ``fast=False``, ``timing=True``, a worker
-  other than :func:`simulate_cell` itself, or a lone cell on its trace
-  replays per cell (see ``docs/fastpath.md``).
-* **Shared-memory trace arenas**: a parallel sweep publishes each
-  distinct trace once via :mod:`repro.core.arena` and ships workers a
-  small handle instead of pickling the trace per cell; workers attach
-  zero-copy and cache the attachment.  Falls back to pickling when
-  shared memory is unavailable (or ``REPRO_NO_SHM=1``).
+Shared-memory trace arenas: a parallel sweep publishes each distinct
+trace once via :mod:`repro.core.arena` and ships workers a small handle
+instead of pickling the trace per cell; workers attach zero-copy and
+cache the attachment.  Falls back to pickling when shared memory is
+unavailable (or ``REPRO_NO_SHM=1``).
 
 Telemetry integration: with ``timing=True`` every row gains a
 ``cell_seconds`` wall-clock column (measured inside the worker, so it
@@ -43,11 +36,8 @@ so the column is the cell body's cost and nothing else.
 
 Error context: in a parallel sweep a worker exception is re-raised in
 the parent as :class:`repro.errors.SweepCellError` naming the failing
-cell's kwargs.  With ``chunksize=1`` (the default) the original
-exception rides along as ``__cause__``; with larger chunks only its
-type and message survive (chunk results cross the process boundary as
-plain data, never pickled exceptions).  A serial sweep raises in the
-caller's own stack, which already shows the cell.
+cell's kwargs, with the original exception as ``__cause__``.  A serial
+sweep raises in the caller's own stack, which already shows the cell.
 """
 
 from __future__ import annotations
@@ -61,10 +51,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 from repro.errors import ConfigurationError, SweepCellError
 
 __all__ = ["grid", "simulate_cell", "sweep", "default_workers"]
-
-#: Cell keys the per-trace collapse may see; anything else (e.g. a
-#: policy kwarg like ``item_layer_size``) forces per-cell replay.
-_BATCHABLE_KEYS = frozenset({"policy", "capacity", "trace", "fast"})
 
 
 def grid(**axes: Sequence[Any]) -> List[Dict[str, Any]]:
@@ -181,29 +167,6 @@ def _call(
     return out
 
 
-def _call_chunk(
-    fn: Callable[..., Mapping[str, Any]],
-    chunk: List[Dict[str, Any]],
-    timing: bool = False,
-) -> List[Tuple[bool, Any]]:
-    """Run a slice of cells in one worker round-trip.
-
-    Returns ``(True, row)`` per success; on the first failure appends
-    ``(False, (pos, "ExcType: message"))`` and stops (the parent raises
-    at the first failure in order, so later cells of a failed chunk
-    would be discarded anyway).  Failures travel as plain strings —
-    never pickled exception objects, which may not survive the trip.
-    """
-    out: List[Tuple[bool, Any]] = []
-    for pos, kwargs in enumerate(chunk):
-        try:
-            out.append((True, _call(fn, kwargs, timing)))
-        except Exception as exc:
-            out.append((False, (pos, f"{type(exc).__name__}: {exc}")))
-            break
-    return out
-
-
 def _publish_traces(
     cells: List[Dict[str, Any]],
 ) -> Tuple[List[Any], List[Dict[str, Any]]]:
@@ -251,66 +214,12 @@ def _restore_row(row: Dict[str, Any], original: Dict[str, Any]) -> Dict[str, Any
     return row
 
 
-def _run_policy_batches(
-    cell_list: List[Dict[str, Any]],
-    rows: List[Optional[Dict[str, Any]]],
-) -> None:
-    """Collapse pure policy/capacity cells per trace (the one collapse).
-
-    :func:`simulate_cell` cells that are plain fast-path cells over a
-    kernel-covered policy are grouped by trace object and each group
-    of two or more runs as one
-    :func:`repro.core.fast.multi_policy_replay` call, which
-    Mattson-collapses Item-LRU/Block-LRU capacity axes itself and
-    advances every other cell over one shared traversal.  A
-    single-cell group is left alone (``fast_simulate`` already covers
-    it at the same cost), and any :class:`ConfigurationError` from the
-    batched engine silently defers to per-cell replay.
-    """
-    from repro.core.fast import multi_policy_replay, multi_policy_supported
-    from repro.core.trace import Trace
-    from repro.telemetry import spans
-
-    groups: Dict[int, List[int]] = {}
-    traces: Dict[int, Any] = {}
-    for i, cell in enumerate(cell_list):
-        if not _BATCHABLE_KEYS.issuperset(cell):
-            continue
-        trace = cell.get("trace")
-        if cell.get("fast", True) is not True or not isinstance(trace, Trace):
-            continue
-        pair = (cell.get("policy"), cell.get("capacity"))
-        if not multi_policy_supported([pair], trace):
-            continue
-        groups.setdefault(id(trace), []).append(i)
-        traces[id(trace)] = trace
-    for trace_id, indices in groups.items():
-        if len(indices) < 2:
-            continue
-        trace = traces[trace_id]
-        batch_cells = [
-            (cell_list[i]["policy"], int(cell_list[i]["capacity"]))
-            for i in indices
-        ]
-        with spans.span("sweep.policy_batch", cells=len(indices)):
-            try:
-                results = multi_policy_replay(batch_cells, trace)
-            except ConfigurationError:
-                continue
-        for i, result in zip(indices, results):
-            row = result.as_row()
-            for key, value in cell_list[i].items():
-                row.setdefault(key, value)
-            rows[i] = row
-
-
 def sweep(
     fn: Callable[..., Mapping[str, Any]],
     cells: Iterable[Dict[str, Any]],
     parallel: bool = False,
     max_workers: int | None = None,
     timing: bool = False,
-    chunksize: int = 1,
 ) -> List[Dict[str, Any]]:
     """Evaluate ``fn(**cell)`` for every cell; return rows in order.
 
@@ -332,97 +241,34 @@ def sweep(
         override, else ``os.cpu_count()``).
     timing:
         Attach each cell's in-worker wall-clock seconds as a
-        ``cell_seconds`` column (worker-provided values win).  Timing
-        disables the per-trace collapse — a collapsed group has no
-        per-cell wall clock to report.
-    chunksize:
-        Cells per worker round-trip.  The default 1 submits each cell
-        as its own future (and preserves the failing exception as
-        ``SweepCellError.__cause__``); larger chunks amortize dispatch
-        overhead for big grids of cheap cells at the cost of reduced
-        error fidelity (type name + message only) and coarser
-        load-balancing.
-
-    Pure :func:`simulate_cell` cells collapse into one
-    multi-policy replay per trace (bit-identical rows, see the module
-    docstring).  For per-cell rows, pass any other worker — e.g.
-    ``functools.partial(simulate_cell)``.
+        ``cell_seconds`` column (worker-provided values win).
     """
     cell_list = list(cells)
+    if not parallel:
+        return [_call(fn, cell, timing) for cell in cell_list]
     if not cell_list:
         return []
-    if chunksize < 1:
-        raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
-    rows: List[Optional[Dict[str, Any]]] = [None] * len(cell_list)
-    # The collapse runs in-parent even for parallel sweeps: one batched
-    # replay is cheaper than shipping its cells anywhere.
-    if not timing and fn is simulate_cell:
-        _run_policy_batches(cell_list, rows)
-    pending = [i for i in range(len(cell_list)) if rows[i] is None]
-    if not pending:
-        return rows  # type: ignore[return-value]
-    if not parallel:
-        for i in pending:
-            rows[i] = _call(fn, cell_list[i], timing)
-        return rows  # type: ignore[return-value]
     workers = max_workers or default_workers()
     if workers < 1:
         raise ConfigurationError(f"max_workers must be >= 1, got {workers}")
-    arenas, submit_cells = _publish_traces([cell_list[i] for i in pending])
-    submit_by_idx = dict(zip(pending, submit_cells))
+    arenas, submit_cells = _publish_traces(cell_list)
+    rows: List[Dict[str, Any]] = []
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            if chunksize == 1:
-                futures = [
-                    (i, pool.submit(_call, fn, submit_by_idx[i], timing))
-                    for i in pending
-                ]
-                for i, future in futures:
-                    try:
-                        row = future.result()
-                    except Exception as exc:
-                        raise SweepCellError(
-                            f"sweep cell {cell_list[i]!r} failed: "
-                            f"{type(exc).__name__}: {exc}",
-                            cell=cell_list[i],
-                        ) from exc
-                    rows[i] = _restore_row(row, cell_list[i])
-            else:
-                chunks = [
-                    pending[j : j + chunksize]
-                    for j in range(0, len(pending), chunksize)
-                ]
-                chunk_futures = [
-                    (
-                        chunk,
-                        pool.submit(
-                            _call_chunk,
-                            fn,
-                            [submit_by_idx[i] for i in chunk],
-                            timing,
-                        ),
-                    )
-                    for chunk in chunks
-                ]
-                for chunk, future in chunk_futures:
-                    try:
-                        entries = future.result()
-                    except Exception as exc:
-                        cell = cell_list[chunk[0]]
-                        raise SweepCellError(
-                            f"sweep chunk starting at cell {cell!r} failed: "
-                            f"{type(exc).__name__}: {exc}",
-                            cell=cell,
-                        ) from exc
-                    for i, (ok, payload) in zip(chunk, entries):
-                        if not ok:
-                            pos, msg = payload
-                            cell = cell_list[chunk[pos]]
-                            raise SweepCellError(
-                                f"sweep cell {cell!r} failed: {msg}", cell=cell
-                            )
-                        rows[i] = _restore_row(payload, cell_list[i])
+            futures = [
+                pool.submit(_call, fn, submit, timing) for submit in submit_cells
+            ]
+            for cell, future in zip(cell_list, futures):
+                try:
+                    row = future.result()
+                except Exception as exc:
+                    raise SweepCellError(
+                        f"sweep cell {cell!r} failed: "
+                        f"{type(exc).__name__}: {exc}",
+                        cell=cell,
+                    ) from exc
+                rows.append(_restore_row(row, cell))
     finally:
         for published in arenas:
             published.close()
-    return rows  # type: ignore[return-value]
+    return rows

@@ -36,7 +36,6 @@ from repro.campaign.runner import result_fields, result_from_fields, run_cell
 from repro.campaign.spec import CellSpec, canonical_json
 from repro.campaign.store import ResultStore
 from repro.core.trace import Trace
-from repro.types import SimResult
 
 __all__ = ["CampaignCache", "UNCACHED", "open_cache"]
 
@@ -82,27 +81,6 @@ class CampaignCache:
         self.hits = 0
         self.computed = 0
 
-    def simulate(
-        self,
-        policy: str,
-        capacity: int,
-        trace: Trace,
-        fast: bool = False,
-        **policy_kwargs: Any,
-    ) -> SimResult:
-        """Memoized equivalent of ``simulate(make_policy(...), trace)``.
-
-        ``policy`` is a registry name (:func:`repro.policies.make_policy`);
-        the returned :class:`SimResult` is bit-identical whether it was
-        computed now or served from the store (the store keeps the full
-        result state, not just the derived row).  A one-cell
-        :meth:`simulate_many`.
-        """
-        (result,) = self.simulate_many(
-            [(policy, capacity, policy_kwargs)], trace, fast=fast
-        )
-        return result
-
     def simulate_many(
         self,
         cells: Any,
@@ -111,7 +89,14 @@ class CampaignCache:
     ) -> list:
         """Memoized batch of simulations over one trace.
 
-        ``cells`` takes every shape
+        The memoized equivalent of ``simulate(make_policy(...), trace,
+        fast=fast)`` per cell, and the one place cells are batched:
+        the kernel-covered cells it computes share one
+        :func:`~repro.core.fast.multi_policy_replay` traversal (see
+        :func:`_compute`).  Each :class:`~repro.types.SimResult` is
+        bit-identical whether computed now or served from the store
+        (the store keeps the full result state, not just the derived
+        row).  ``cells`` takes every shape
         :func:`repro.core.fast.multi_policy_replay` takes:
         ``(policy, capacity)``, ``(policy, capacity, policy_kwargs)``,
         or a dict with ``policy``/``capacity`` keys (extra keys are

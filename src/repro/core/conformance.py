@@ -530,8 +530,9 @@ def conformance_suite(
     Stack policies additionally get ``mode="batched"`` rows: the whole
     capacity family recomputed by one
     :func:`repro.core.fast.multi_capacity_replay` call and diffed
-    per-capacity against the referee, so the sweep collapse path is
-    certified by the same suite as the per-cell kernels.  Capacities a
+    per-capacity against the referee, so the Mattson path that batched
+    capacity axes take is certified by the same suite as the per-cell
+    kernels.  Capacities a
     trace cannot batch (Block-LRU below its block size) are dropped
     from the batched rows only.
 

@@ -215,13 +215,12 @@ def granularity_sweep(
     item per block) under Item-LRU and Block-LRU at every capacity.
     Block eviction wastes ``B - 1`` slots per useful item, so its curve
     lags Item-LRU's by roughly a factor ``B`` in capacity.  Both are
-    stack policies, so the full grid collapses into two batched
-    multi-capacity replays (``sweep``'s Mattson path) — the whole curve
-    costs two stack-distance passes, not 16 replays.
+    stack policies, so the full grid is one
+    :meth:`~repro.campaign.CampaignCache.simulate_many` batch — the
+    whole curve costs two stack-distance passes, not 16 replays.
     """
     import numpy as np
 
-    from repro.analysis.sweep import grid, simulate_cell, sweep
     from repro.core.mapping import FixedBlockMapping
     from repro.core.trace import Trace
 
@@ -230,20 +229,18 @@ def granularity_sweep(
     mapping = FixedBlockMapping(universe=n_hot * B, block_size=B)
     items = (rng.integers(0, n_hot, length) * B).astype(np.int64)
     trace = Trace(items, mapping, {"generator": "one_hot_per_block"})
-    cells = grid(
-        policy=["item-lru", "block-lru"],
-        capacity=list(capacities),
-        trace=[trace],
-    )
+    cells = [
+        (policy, k) for policy in ("item-lru", "block-lru") for k in capacities
+    ]
     return [
         {
             "study": "granularity_sweep",
-            "policy": row["policy"],
-            "capacity": row["capacity"],
-            "misses": row["misses"],
-            "miss_ratio": row["miss_ratio"],
+            "policy": res.policy,
+            "capacity": res.capacity,
+            "misses": res.misses,
+            "miss_ratio": res.miss_ratio,
         }
-        for row in sweep(simulate_cell, cells)
+        for res in UNCACHED.simulate_many(cells, trace)
     ]
 
 

@@ -147,12 +147,11 @@ def capacity_curves(
     The pure-granularity version of the size-dependence story: *which
     granularity* is the better LRU depends on the cache size, and the
     ranking swaps between a temporal-heavy and a spatial-heavy
-    workload.  Both policies are stack policies, so the whole grid
-    rides ``sweep``'s batched multi-capacity path — one Mattson
-    stack-distance pass per (policy, workload) instead of one replay
-    per capacity point.
+    workload.  Both policies are stack policies, so each workload's
+    grid is one :meth:`~repro.campaign.CampaignCache.simulate_many`
+    batch — one Mattson stack-distance pass per (policy, workload)
+    instead of one replay per capacity point.
     """
-    from repro.analysis.sweep import grid, simulate_cell, sweep
     from repro.workloads import interleaved_streams
 
     traces = {
@@ -173,19 +172,19 @@ def capacity_curves(
     }
     rows: List[Dict[str, float]] = []
     for wname, trace in traces.items():
-        cells = grid(
-            policy=["item-lru", "block-lru"],
-            capacity=list(capacities),
-            trace=[trace],
-        )
-        for row in sweep(simulate_cell, cells):
+        cells = [
+            (policy, k)
+            for policy in ("item-lru", "block-lru")
+            for k in capacities
+        ]
+        for res in UNCACHED.simulate_many(cells, trace):
             rows.append(
                 {
                     "workload": wname,
-                    "policy": row["policy"],
-                    "capacity": row["capacity"],
-                    "miss_ratio": row["miss_ratio"],
-                    "spatial_fraction": row["spatial_fraction"],
+                    "policy": res.policy,
+                    "capacity": res.capacity,
+                    "miss_ratio": res.miss_ratio,
+                    "spatial_fraction": res.spatial_fraction,
                 }
             )
     return rows
@@ -207,8 +206,9 @@ def adaptive_hedge(
     boundary converged.
 
     The adaptive rows need the live policy instance afterwards (to read
-    the converged ``item_layer_target``), so only the fixed-split rows
-    go through ``cache``.
+    the converged ``item_layer_target``), so they run on the referee —
+    a fast-path replay never mutates the policy — and only the
+    fixed-split rows go through ``cache``.
     """
     from repro.policies import AdaptiveIBLP
 
@@ -232,7 +232,7 @@ def adaptive_hedge(
     )
     for wname, trace in traces.items():
         policy = AdaptiveIBLP(k, trace.mapping)
-        res = simulate(policy, trace, fast=True)
+        res = simulate(policy, trace)
         rows.append(
             {
                 "workload": wname,

@@ -22,7 +22,6 @@ from repro.serving.service import (
     ServingResult,
     serve,
     serve_policy,
-    serving_cell,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "poisson_arrivals",
     "serve",
     "serve_policy",
-    "serving_cell",
 ]

@@ -66,7 +66,6 @@ __all__ = [
     "ServingResult",
     "serve",
     "serve_policy",
-    "serving_cell",
 ]
 
 #: HitKind → per-class histogram key (stable across payloads).
@@ -1085,24 +1084,3 @@ def serve_policy(
 
     instance = make_policy(policy, capacity, trace.mapping, **policy_kwargs)
     return serve(instance, trace, config)
-
-
-def serving_cell(
-    policy: str,
-    capacity: int,
-    trace: Trace,
-    serving: Mapping[str, Any],
-    **policy_kwargs: Any,
-) -> Dict[str, Any]:
-    """Picklable sweep worker: one (policy, capacity, trace, serving) cell.
-
-    The serving counterpart of
-    :func:`repro.analysis.sweep.simulate_cell`: ``serving`` is a plain
-    config dict (:meth:`ServingConfig.as_dict` form, so it pickles and
-    hashes), and the row is :meth:`ServingResult.as_row`.  Grids over
-    arrival rate become grids over ``serving`` dicts.
-    """
-    config = ServingConfig.from_dict(serving)
-    return serve_policy(
-        policy, capacity, trace, config, **policy_kwargs
-    ).as_row()

@@ -529,11 +529,12 @@ class KvTraceStream(_AccessStream):
 
 
 class StreamingDensifier:
-    """Chunk-at-a-time equivalent of :func:`~repro.workloads.trace_io.densify_addresses`.
+    """Chunk-at-a-time address densifier (the one renaming loop).
 
     Blocks are renamed in first-appearance order across *all* chunks
     seen so far, so streaming densification of a trace produces exactly
-    the array the batch function would.
+    the array :func:`~repro.workloads.trace_io.densify_addresses` (one
+    chunk) returns for the whole trace.
     """
 
     def __init__(self, block_size: int):

@@ -38,7 +38,7 @@ to materialize, convert to ``.rtc`` instead
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,21 +57,16 @@ def densify_addresses(
 
     Blocks (``address // block_size``) are numbered in first-appearance
     order; within a block, items keep their intra-block offset.
-    Returns ``(dense_items, universe)``.
+    Returns ``(dense_items, universe)``.  One chunk through
+    :class:`~repro.workloads.stream.StreamingDensifier`.
     """
-    if block_size < 1:
-        raise TraceFormatError(f"block_size must be >= 1, got {block_size}")
+    from repro.workloads.stream import StreamingDensifier
+
+    densifier = StreamingDensifier(block_size)
     addresses = np.asarray(addresses, dtype=np.int64)
     if addresses.size and addresses.min() < 0:
         raise TraceFormatError("addresses must be non-negative")
-    block_rename: Dict[int, int] = {}
-    out = np.empty_like(addresses)
-    for idx, addr in enumerate(addresses.tolist()):
-        blk, off = divmod(addr, block_size)
-        new_blk = block_rename.setdefault(blk, len(block_rename))
-        out[idx] = new_blk * block_size + off
-    universe = max(1, len(block_rename)) * block_size
-    return out, universe
+    return densifier.apply(addresses), densifier.universe
 
 
 def read_text_trace(

@@ -392,8 +392,8 @@ class TestCampaignCache:
         trace = TRACE.materialize()
         direct = simulate(make_policy("iblp", 32, trace.mapping), trace)
         with CampaignCache(tmp_path, store_sync=False) as cache:
-            first = cache.simulate("iblp", 32, trace)
-            second = cache.simulate("iblp", 32, trace)
+            (first,) = cache.simulate_many([("iblp", 32)], trace, fast=False)
+            (second,) = cache.simulate_many([("iblp", 32)], trace, fast=False)
         assert first == direct
         assert second == direct
         assert cache.computed == 1
@@ -403,9 +403,9 @@ class TestCampaignCache:
     def test_kwargs_and_fast_key_the_cache(self, tmp_path):
         trace = TRACE.materialize()
         with CampaignCache(tmp_path, store_sync=False) as cache:
-            cache.simulate("gcm", 32, trace, seed=0)
-            cache.simulate("gcm", 32, trace, seed=1)
-            cache.simulate("gcm", 32, trace, fast=True, seed=0)
+            cache.simulate_many([("gcm", 32, {"seed": 0})], trace, fast=False)
+            cache.simulate_many([("gcm", 32, {"seed": 1})], trace, fast=False)
+            cache.simulate_many([("gcm", 32, {"seed": 0})], trace)
         assert cache.computed == 3
         assert cache.hits == 0
 
@@ -415,7 +415,7 @@ class TestCampaignCache:
             runner.run()
         trace = TRACE.materialize()
         with CampaignCache(tmp_path, store_sync=False) as cache:
-            cache.simulate("item-lru", 16, trace, fast=True)
+            cache.simulate_many([("item-lru", 16)], trace)
         assert cache.hits == 1
         assert cache.computed == 0
 

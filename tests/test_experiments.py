@@ -185,6 +185,37 @@ class TestEmpiricalExperiments:
         # better, §4.4's eviction conclusion.
         assert by["iblp"]["misses"] < 0.7 * by["block-lru"]["misses"]
 
+    def test_ablation_granularity_sweep_equals_per_cell_referee(self):
+        import numpy as np
+
+        from repro.core.engine import simulate
+        from repro.core.mapping import FixedBlockMapping
+        from repro.core.trace import Trace
+        from repro.policies import make_policy
+
+        B, length, seed, caps = 4, 5_000, 2, (16, 64, 256)
+        rows = ablation.granularity_sweep(
+            B=B, length=length, seed=seed, capacities=caps
+        )
+        # The sweep's sparse-reuse trace: one hot item per block.
+        rng = np.random.default_rng(seed)
+        items = (rng.integers(0, 512, length) * B).astype(np.int64)
+        trace = Trace(items, FixedBlockMapping(universe=512 * B, block_size=B))
+        want = []
+        for policy in ("item-lru", "block-lru"):
+            for k in caps:
+                res = simulate(make_policy(policy, k, trace.mapping), trace)
+                want.append(
+                    {
+                        "study": "granularity_sweep",
+                        "policy": res.policy,
+                        "capacity": k,
+                        "misses": res.misses,
+                        "miss_ratio": res.miss_ratio,
+                    }
+                )
+        assert rows == want
+
     def test_ablation_gcm_variants(self):
         rows = ablation.gcm_variants(k=128, B=8, length=20_000)
         by = {r["policy"]: r for r in rows}

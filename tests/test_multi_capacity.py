@@ -1,4 +1,4 @@
-"""Batched multi-capacity replay and the sweep collapse that uses it.
+"""Batched multi-capacity replay and the batching stage that uses it.
 
 Two layers of guarantees:
 
@@ -7,20 +7,20 @@ Two layers of guarantees:
   outcome streams, across randomized geometries (the conformance suite
   and goldens pin this too; here we add randomized trials plus the
   support-predicate edge cases).
-* **Sweep collapse** — ``sweep`` must produce rows byte-for-byte
+* **Batching** — ``CampaignCache.simulate_many`` must return results
   equal to per-cell replay, Mattson-collapse only when it is provably
-  safe (pure capacity axis, stack policy, fast path, no timing), and
-  fall back silently everywhere else.
+  safe (kwarg-free capacity axis of a stack policy on the fast path),
+  and replay per cell everywhere else; ``sweep`` is a plain per-cell
+  map whose serial and parallel rows agree.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import pytest
 
 from repro.analysis.sweep import default_workers, grid, simulate_cell, sweep
+from repro.campaign import UNCACHED
 from repro.core.conformance import (
     assert_multi_capacity_conformant,
     check_multi_capacity,
@@ -34,7 +34,7 @@ from repro.core.fast import (
 )
 from repro.core.mapping import ExplicitBlockMapping, FixedBlockMapping
 from repro.core.trace import Trace
-from repro.errors import ConfigurationError, SweepCellError
+from repro.errors import ConfigurationError
 from repro.policies import make_policy
 
 RESULT_FIELDS = (
@@ -169,7 +169,7 @@ def test_replay_raises_where_supported_says_no():
         multi_capacity_replay("block-lru", trace, [2])
 
 
-# -- sweep collapse ----------------------------------------------------------
+# -- sweep and simulate_many batching ----------------------------------------
 
 
 def _per_cell_rows(cells):
@@ -203,8 +203,8 @@ def test_collapsed_sweep_rows_equal_per_cell_rows(sweep_trace):
         trace=[sweep_trace],
     )
     per_cell = _per_cell_rows(cells)
-    collapsed = sweep(simulate_cell, cells)
-    assert _rows_without_trace(collapsed, sweep_trace) == _rows_without_trace(
+    rows = sweep(simulate_cell, cells)
+    assert _rows_without_trace(rows, sweep_trace) == _rows_without_trace(
         per_cell, sweep_trace
     )
 
@@ -246,40 +246,22 @@ def test_collapse_requires_pure_capacity_axis(sweep_trace, monkeypatch):
 
     monkeypatch.setattr(fast, "multi_capacity_replay", spy)
 
-    cells = grid(
-        policy=["item-lru"], capacity=[8, 16], trace=[sweep_trace]
-    )
-    sweep(simulate_cell, cells)
+    UNCACHED.simulate_many([("item-lru", 8), ("item-lru", 16)], sweep_trace)
     assert calls == [("item-lru", (8, 16))]
 
     calls.clear()
-    # Any extra key (policy kwargs) must force per-cell replay.
-    kwarg_cells = [dict(c, a=1) for c in grid(
-        policy=["athreshold-lru"], capacity=[8, 16], trace=[sweep_trace]
-    )]
-    sweep(simulate_cell, kwarg_cells)
+    # Policy kwargs must force per-cell replay.
+    UNCACHED.simulate_many(
+        [("athreshold-lru", 8, {"a": 1}), ("athreshold-lru", 16, {"a": 1})],
+        sweep_trace,
+    )
     assert calls == []
 
-    # fast=False, timing=True, single-capacity groups, and foreign
-    # worker fns must all fall back too.
-    sweep(
-        simulate_cell,
-        grid(policy=["item-lru"], capacity=[8, 16], trace=[sweep_trace],
-             fast=[False]),
+    # fast=False and single-capacity groups must fall back too.
+    UNCACHED.simulate_many(
+        [("item-lru", 8), ("item-lru", 16)], sweep_trace, fast=False
     )
-    sweep(
-        simulate_cell,
-        grid(policy=["item-lru"], capacity=[8, 16], trace=[sweep_trace]),
-        timing=True,
-    )
-    sweep(
-        functools.partial(simulate_cell),
-        grid(policy=["item-lru"], capacity=[8, 16], trace=[sweep_trace]),
-    )
-    sweep(
-        simulate_cell,
-        grid(policy=["item-lru"], capacity=[8], trace=[sweep_trace]),
-    )
+    UNCACHED.simulate_many([("item-lru", 8)], sweep_trace)
     assert calls == []
 
 
@@ -299,42 +281,15 @@ def test_mixed_policy_grid_collapses_only_stack_policies(sweep_trace, monkeypatc
         capacity=[8, 16, 32],
         trace=[sweep_trace],
     )
-    rows = sweep(simulate_cell, cells)
-    assert sorted(calls) == ["block-lru", "item-lru"]
-    per_cell = _per_cell_rows(cells)
-    assert _rows_without_trace(rows, sweep_trace) == _rows_without_trace(
-        per_cell, sweep_trace
+    results = UNCACHED.simulate_many(
+        [(cell["policy"], cell["capacity"]) for cell in cells], sweep_trace
     )
-
-
-def test_sweep_rejects_bad_knobs(sweep_trace):
-    cells = grid(policy=["item-lru"], capacity=[8], trace=[sweep_trace])
-    with pytest.raises(ConfigurationError, match="chunksize"):
-        sweep(simulate_cell, cells, chunksize=0)
-
-
-# -- chunked dispatch and worker plumbing ------------------------------------
-
-
-def _flaky(a):
-    if a == 5:
-        raise ZeroDivisionError("boom")
-    return {"value": a * 2}
-
-
-def test_chunked_parallel_rows_match_serial():
-    cells = [{"a": i} for i in range(11)]
-    serial = sweep(_flaky, cells[:5])
-    chunked = sweep(_flaky, cells[:5], parallel=True, max_workers=2, chunksize=2)
-    assert chunked == serial
-
-
-def test_chunked_error_names_the_failing_cell():
-    cells = [{"a": i} for i in range(11)]
-    with pytest.raises(SweepCellError) as excinfo:
-        sweep(_flaky, cells, parallel=True, max_workers=2, chunksize=3)
-    assert excinfo.value.cell == {"a": 5}
-    assert "ZeroDivisionError" in str(excinfo.value)
+    assert sorted(calls) == ["block-lru", "item-lru"]
+    monkeypatch.undo()
+    per_cell = _per_cell_rows(cells)
+    assert [res.as_row() for res in results] == [
+        {k: v for k, v in row.items() if k != "trace"} for row in per_cell
+    ]
 
 
 def test_default_workers_env_override(monkeypatch):

@@ -4,9 +4,10 @@
 traversal of a compiled trace.  These tests prove the sharing is
 unobservable — every cell bit-identical to its solo referee run, with
 chunk size, cell order, duplicate cells, and the internal Mattson
-collapse all invisible — and pin the gating (``multi_policy_supported``,
-``sweep``'s policy-axis collapse, ``CampaignCache.simulate_many``) plus
-the ``fallback_reason`` telemetry satellite.
+collapse all invisible — and pin the gating (``multi_policy_supported``
+and ``CampaignCache.simulate_many``, the one stage that batches cells;
+``sweep`` never groups them) plus the ``fallback_reason`` telemetry
+satellite.
 """
 
 import numpy as np
@@ -156,36 +157,29 @@ def test_unsupported_cell_raises_configuration_error(trace):
         multi_policy_replay([("item-lru", 4), ("belady-item", 4)], trace)
 
 
-# -- sweep collapse ----------------------------------------------------------
+# -- batching stage ----------------------------------------------------------
 def test_sweep_policy_collapse_rows_are_bit_identical(trace):
-    from repro.analysis.sweep import grid, simulate_cell, sweep
+    from repro.analysis.sweep import grid, simulate_cell
+    from repro.campaign import UNCACHED
 
     cells = grid(
         policy=["item-lru", "gcm", "iblp", "item-lfu", "item-mru"],
         capacity=[8, 24],
         trace=[trace],
     )
-    auto = sweep(simulate_cell, cells)
-    never = [{**cell, **simulate_cell(**cell)} for cell in cells]
-    assert len(auto) == len(never) == len(cells)
-    for a, n in zip(auto, never):
-        for key in ("policy", "capacity", "misses", "temporal_hits",
-                    "spatial_hits", "miss_ratio"):
-            assert a[key] == n[key], (key, a, n)
+    batched = UNCACHED.simulate_many(
+        [(cell["policy"], cell["capacity"]) for cell in cells], trace
+    )
+    never = [simulate_cell(**cell) for cell in cells]
+    assert len(batched) == len(never) == len(cells)
+    assert [res.as_row() for res in batched] == never
 
 
 def test_sweep_collapses_policy_axis_into_one_traversal(trace, monkeypatch):
-    """sweep routes eligible cells through multi_policy_replay (one
-    call per trace group) and never calls the per-cell worker."""
-    import sys
-
-    from repro.analysis.sweep import grid, simulate_cell, sweep
-    from repro.core import fast
-
-    # ``repro.analysis``'s package attribute ``sweep`` is the function,
-    # so ``import repro.analysis.sweep`` would resolve to it; take the
-    # module itself.
-    sweep_mod = sys.modules["repro.analysis.sweep"]
+    """simulate_many routes its kernel-covered cells through one
+    multi_policy_replay call and never replays a cell on its own."""
+    from repro.campaign import UNCACHED
+    from repro.core import engine, fast
 
     calls = []
     real = fast.multi_policy_replay
@@ -194,23 +188,29 @@ def test_sweep_collapses_policy_axis_into_one_traversal(trace, monkeypatch):
         calls.append(list(cells))
         return real(cells, t, record=record, chunk=chunk)
 
+    def boom(*args, **kwargs):  # pragma: no cover - must never run
+        raise AssertionError("per-cell replay ran despite full batching")
+
     monkeypatch.setattr(fast, "multi_policy_replay", spy)
-
-    def boom(**kwargs):  # pragma: no cover - must never run
-        raise AssertionError("per-cell worker ran despite full collapse")
-
-    cells = grid(policy=["gcm", "item-2q", "marking-lru"],
-                 capacity=[8, 24], trace=[trace])
-    monkeypatch.setattr(sweep_mod, "_call", boom)
-    rows = sweep(simulate_cell, cells)
+    monkeypatch.setattr(engine, "simulate", boom)
+    cells = [
+        (name, cap)
+        for name in ("gcm", "item-2q", "marking-lru")
+        for cap in (8, 24)
+    ]
+    results = UNCACHED.simulate_many(cells, trace)
     assert len(calls) == 1 and len(calls[0]) == 6
-    assert [r["policy"] for r in rows] == [c["policy"] for c in cells]
+    monkeypatch.undo()
+    assert results == [
+        simulate(make_policy(name, cap, trace.mapping), trace)
+        for name, cap in cells
+    ]
 
 
 def test_all_mattson_sweep_never_compiles(trace, spatial_trace, monkeypatch):
-    """An Item-LRU/Block-LRU-only grid is one multi_policy_replay call
+    """An Item-LRU/Block-LRU-only batch is one multi_policy_replay call
     per trace, answered entirely by the Mattson pass: no compile."""
-    from repro.analysis.sweep import grid, simulate_cell, sweep
+    from repro.campaign import UNCACHED
     from repro.core import fast
 
     calls = []
@@ -221,24 +221,26 @@ def test_all_mattson_sweep_never_compiles(trace, spatial_trace, monkeypatch):
         return real(cells, t, record=record, chunk=chunk)
 
     def no_compile(t):  # pragma: no cover - must never run
-        raise AssertionError("compile_trace ran for an all-Mattson sweep")
+        raise AssertionError("compile_trace ran for an all-Mattson batch")
 
     monkeypatch.setattr(fast, "multi_policy_replay", spy)
     monkeypatch.setattr(fast, "compile_trace", no_compile)
-    cells = grid(
-        policy=["item-lru", "block-lru"],
-        capacity=[8, 16, 32],
-        trace=[trace, spatial_trace],
-    )
-    rows = sweep(simulate_cell, cells)
+    cells = [
+        (name, cap) for name in ("item-lru", "block-lru") for cap in (8, 16, 32)
+    ]
+    got = [UNCACHED.simulate_many(cells, t) for t in (trace, spatial_trace)]
     assert calls == [trace, spatial_trace]
     monkeypatch.undo()
-    assert rows == [{**cell, **simulate_cell(**cell)} for cell in cells]
+    for t, results in zip((trace, spatial_trace), got):
+        assert results == [
+            simulate(make_policy(name, cap, t.mapping), t) for name, cap in cells
+        ]
 
 
 def test_sweep_leaves_ineligible_cells_to_per_cell_replay(trace, monkeypatch):
-    """Extra cell keys, fast=False, or kernel-less policies opt out of
-    the collapse but still compute (per-cell path)."""
+    """sweep is a plain per-cell map: it never groups cells into
+    multi_policy_replay, whatever their keys, and still computes every
+    cell."""
     from repro.analysis.sweep import simulate_cell, sweep
     from repro.core import fast
 
@@ -254,11 +256,12 @@ def test_sweep_leaves_ineligible_cells_to_per_cell_replay(trace, monkeypatch):
         {"policy": "gcm", "capacity": 8, "trace": trace, "seed": 5},  # extra key
         {"policy": "gcm", "capacity": 8, "trace": trace, "fast": False},
         {"policy": "belady-item", "capacity": 8, "trace": trace},
-        {"policy": "item-lfu", "capacity": 8, "trace": trace},  # lone cell
+        {"policy": "item-lfu", "capacity": 8, "trace": trace},
+        {"policy": "item-lfu", "capacity": 24, "trace": trace},
     ]
     rows = sweep(simulate_cell, cells)
-    assert not calls  # nothing eligible to group (single survivor)
-    assert len(rows) == 4
+    assert not calls
+    assert len(rows) == 5
     want = simulate(make_policy("gcm", 8, trace.mapping, seed=5), trace)
     assert rows[0]["misses"] == want.misses
 
@@ -272,8 +275,8 @@ def test_campaign_simulate_many_memoizes_per_cell(trace, tmp_path):
         first = cache.simulate_many(cells, trace)
         assert cache.computed == 3 and cache.hits == 0
         # Batch-computed cells are visible to later per-cell lookups...
-        again = cache.simulate(
-            "iblp", 8, trace, fast=True, item_layer_size=4
+        (again,) = cache.simulate_many(
+            [("iblp", 8, {"item_layer_size": 4})], trace
         )
         assert cache.hits == 1 and again == first[2]
     with CampaignCache(tmp_path) as cache:
@@ -303,7 +306,7 @@ def test_campaign_simulate_many_parses_cells_like_multi_policy_replay(
             [{"policy": "gcm", "capacity": 8, "seed": 5}], trace
         )
         # A dict cell shares its address with the tuple form.
-        assert cache.simulate("gcm", 8, trace, fast=True, seed=5) == got[0]
+        assert cache.simulate_many([("gcm", 8, {"seed": 5})], trace) == got
         assert cache.computed == 1 and cache.hits == 1
     assert got[0] == simulate(make_policy("gcm", 8, trace.mapping, seed=5), trace)
 

@@ -8,8 +8,8 @@ from repro.core.mapping import FixedBlockMapping
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
 from repro.experiments import size_dependence
-from repro.policies import GCM, MarkingLRU, PartialGCM
-from repro.workloads import interleaved_streams
+from repro.policies import GCM, AdaptiveIBLP, MarkingLRU, PartialGCM, make_policy
+from repro.workloads import hot_and_stream, interleaved_streams
 
 
 class TestBoundsCrossing:
@@ -45,6 +45,74 @@ class TestEmpiricalFlip:
     def test_render_smoke(self):
         text = size_dependence.render(k=64, B=4)
         assert "Size dependence" in text
+
+
+class TestCapacityCurves:
+    def test_rows_equal_per_cell_referee(self):
+        B, length, seed, caps = 8, 5_000, 3, (16, 64, 256)
+        rows = size_dependence.capacity_curves(
+            B=B, length=length, seed=seed, capacities=caps
+        )
+        traces = {
+            "temporal_heavy": hot_and_stream(
+                length=length,
+                hot_items=200,
+                stream_blocks=256,
+                block_size=B,
+                hot_fraction=0.95,
+                seed=seed,
+            ),
+            "spatial_heavy": interleaved_streams(
+                length=length, streams=16, blocks_per_stream=64, block_size=B
+            ),
+        }
+        want = []
+        for wname, trace in traces.items():
+            for policy in ("item-lru", "block-lru"):
+                for k in caps:
+                    res = simulate(make_policy(policy, k, trace.mapping), trace)
+                    want.append(
+                        {
+                            "workload": wname,
+                            "policy": res.policy,
+                            "capacity": k,
+                            "miss_ratio": res.miss_ratio,
+                            "spatial_fraction": res.spatial_fraction,
+                        }
+                    )
+        assert rows == want
+
+
+class TestAdaptiveHedge:
+    def test_adaptive_rows_report_the_converged_split(self):
+        k, B, length, seed = 64, 8, 5_000, 17
+        rows = size_dependence.adaptive_hedge(k=k, B=B, length=length, seed=seed)
+        traces = {
+            "temporal_heavy": hot_and_stream(
+                length=length,
+                hot_items=int(0.8 * k),
+                stream_blocks=4 * k // B,
+                block_size=B,
+                hot_fraction=0.95,
+                seed=seed,
+            ),
+            "spatial_heavy": interleaved_streams(
+                length=length,
+                streams=2 * ((k // 4) // B) + 4,
+                blocks_per_stream=64,
+                block_size=B,
+            ),
+        }
+        adaptive = {r["workload"]: r for r in rows if r["split"] == "adaptive"}
+        assert sorted(adaptive) == sorted(traces)
+        for wname, trace in traces.items():
+            policy = AdaptiveIBLP(k, trace.mapping)
+            res = simulate(policy, trace)
+            # The boundary moved away from its initial k/2 split, so a
+            # row reading an untouched policy would differ.
+            assert policy.item_layer_target != k // 2
+            assert adaptive[wname]["item_layer"] == policy.item_layer_target
+            assert adaptive[wname]["misses"] == res.misses
 
 
 class TestInterleavedStreams:
