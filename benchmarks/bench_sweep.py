@@ -5,10 +5,10 @@ trace by default) two ways:
 
 * **baseline** — the pre-batching parallel path, faithfully
   reproduced: a parallel ``sweep`` of ``simulate_cell`` (every cell
-  replays alone in a worker) plus ``REPRO_NO_COMPILE_MEMO=1`` (the
-  fingerprint-keyed compile memo would otherwise spare the baseline
-  the per-cell recompiles it historically paid) and ``REPRO_NO_SHM=1``
-  (per-cell trace pickling instead of arenas);
+  replays alone in a worker, its trace pickled per cell) plus
+  ``REPRO_NO_COMPILE_MEMO=1`` (the fingerprint-keyed compile memo
+  would otherwise spare the baseline the per-cell recompiles it
+  historically paid);
 * **batched** — ``UNCACHED.simulate_many``, the experiments' batching
   stage: the grid becomes one ``multi_policy_replay`` call in the
   parent, answered by a single Mattson pass.
@@ -89,20 +89,15 @@ def test_batched_sweep_gate(bench_trace, capacities, out_dir):
     )
     workers = default_workers()
 
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_NO_COMPILE_MEMO", "REPRO_NO_SHM")
-    }
+    saved = os.environ.get("REPRO_NO_COMPILE_MEMO")
     os.environ["REPRO_NO_COMPILE_MEMO"] = "1"
-    os.environ["REPRO_NO_SHM"] = "1"
     try:
         t_baseline, baseline_rows = _timed_sweep(cells, workers)
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_NO_COMPILE_MEMO", None)
+        else:
+            os.environ["REPRO_NO_COMPILE_MEMO"] = saved
 
     t_batched, batched_rows = _timed_batch(cells, bench_trace)
 

@@ -14,12 +14,6 @@ its own.  Batching cells that share a trace into one
 :meth:`repro.campaign.CampaignCache.simulate_many`'s job (see
 ``docs/fastpath.md``).
 
-Shared-memory trace arenas: a parallel sweep publishes each distinct
-trace once via :mod:`repro.core.arena` and ships workers a small handle
-instead of pickling the trace per cell; workers attach zero-copy and
-cache the attachment.  Falls back to pickling when shared memory is
-unavailable (or ``REPRO_NO_SHM=1``).
-
 Telemetry integration: with ``timing=True`` every row gains a
 ``cell_seconds`` wall-clock column (measured inside the worker, so it
 is the cell's own cost, not queueing time).  A worker may also leave a
@@ -29,7 +23,7 @@ picklable), so per-cell windowed/timing telemetry rides along grid
 rows without every experiment hand-rolling the plumbing.
 
 Timing guarantee: ``cell_seconds`` brackets *exactly* the
-``fn(**cell)`` call — arena attachment, row post-processing (copying
+``fn(**cell)`` call — row post-processing (copying
 the mapping, flattening recorders, which runs ``Recorder.finalize``
 and therefore flushes/closes sinks) happen outside the timed region,
 so the column is the cell body's cost and nothing else.
@@ -46,7 +40,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
 
 from repro.errors import ConfigurationError, SweepCellError
 
@@ -125,92 +119,29 @@ def _flatten_recorders(row: Dict[str, Any]) -> Dict[str, Any]:
     return row
 
 
-def _is_arena_handle(value: Any) -> bool:
-    # Duck-typed so workers that never see a handle never import arena.
-    cls = type(value)
-    return cls.__name__ == "ArenaHandle" and cls.__module__ == "repro.core.arena"
-
-
-def _resolve_cell(kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    """Attach any arena handles in a cell (worker side, untimed)."""
-    resolved: Optional[Dict[str, Any]] = None
-    for key, value in kwargs.items():
-        if _is_arena_handle(value):
-            from repro.core import arena
-
-            if resolved is None:
-                resolved = dict(kwargs)
-            resolved[key] = arena.attach(value)
-    return resolved if resolved is not None else kwargs
-
-
 def _call(
     fn: Callable[..., Mapping[str, Any]],
     kwargs: Dict[str, Any],
     timing: bool = False,
 ):
-    resolved = _resolve_cell(kwargs)
     # The timed region is the cell body alone; see the module
     # docstring's timing guarantee.
     t0 = time.perf_counter()
-    raw = fn(**resolved)
+    raw = fn(**kwargs)
     elapsed = time.perf_counter() - t0
     out = dict(raw)
     _flatten_recorders(out)
     if timing:
         out.setdefault("cell_seconds", elapsed)
-    # Echo the cell's parameters so rows are self-describing.  The echo
-    # uses the *unresolved* cell: an arena handle echoes as the handle
-    # (cheap to pickle back) and the parent swaps the original trace in.
-    for key, value in kwargs.items():
-        out.setdefault(key, value)
     return out
 
 
-def _publish_traces(
-    cells: List[Dict[str, Any]],
-) -> Tuple[List[Any], List[Dict[str, Any]]]:
-    """Publish each distinct trace once; rewrite cells to carry handles.
-
-    Returns ``(arenas, submit_cells)``.  Traces that fail to publish
-    (shared memory off, exotic mapping) stay in the cell and travel by
-    pickle — the sweep still works, just without the zero-copy win.
-    """
-    from repro.core import arena
-    from repro.core.trace import Trace
-
-    if not arena.shared_memory_available():
-        return [], cells
-    arenas: List[Any] = []
-    published: Dict[int, Any] = {}  # id(trace) -> handle | None
-    submit: List[Dict[str, Any]] = []
-    for cell in cells:
-        rewritten: Optional[Dict[str, Any]] = None
-        for key, value in cell.items():
-            if not isinstance(value, Trace):
-                continue
-            if id(value) not in published:
-                published_arena = arena.publish(value)
-                if published_arena is None:
-                    published[id(value)] = None
-                else:
-                    arenas.append(published_arena)
-                    published[id(value)] = published_arena.handle
-            handle = published[id(value)]
-            if handle is not None:
-                if rewritten is None:
-                    rewritten = dict(cell)
-                rewritten[key] = handle
-        submit.append(rewritten if rewritten is not None else cell)
-    return arenas, submit
-
-
-def _restore_row(row: Dict[str, Any], original: Dict[str, Any]) -> Dict[str, Any]:
-    # Workers echo the arena handle (cheap to pickle back); swap the
-    # original trace object in so rows match a serial sweep exactly.
-    for key, value in original.items():
-        if _is_arena_handle(row.get(key)):
-            row[key] = value
+def _echo(row: Dict[str, Any], cell: Dict[str, Any]) -> Dict[str, Any]:
+    # Echo the cell's parameters so rows are self-describing.  The
+    # parent echoes its own objects, so a parallel row carries the
+    # caller's trace rather than a copy pickled back from the worker.
+    for key, value in cell.items():
+        row.setdefault(key, value)
     return row
 
 
@@ -234,41 +165,32 @@ def sweep(
         Typically the output of :func:`grid`.
     parallel:
         Use processes.  Keep workers pure: no shared mutable state.
-        Traces in cells are shipped through shared-memory arenas when
-        available (pickle fallback otherwise).
+        Cells (traces included) travel to workers by pickle.
     max_workers:
         Defaults to :func:`default_workers` (``REPRO_JOBS`` env
-        override, else ``os.cpu_count()``).
+        override, else ``os.cpu_count()``); an explicit value must be
+        >= 1.
     timing:
         Attach each cell's in-worker wall-clock seconds as a
         ``cell_seconds`` column (worker-provided values win).
     """
+    if max_workers is not None and max_workers < 1:
+        raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
     cell_list = list(cells)
     if not parallel:
-        return [_call(fn, cell, timing) for cell in cell_list]
+        return [_echo(_call(fn, cell, timing), cell) for cell in cell_list]
     if not cell_list:
         return []
-    workers = max_workers or default_workers()
-    if workers < 1:
-        raise ConfigurationError(f"max_workers must be >= 1, got {workers}")
-    arenas, submit_cells = _publish_traces(cell_list)
     rows: List[Dict[str, Any]] = []
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_call, fn, submit, timing) for submit in submit_cells
-            ]
-            for cell, future in zip(cell_list, futures):
-                try:
-                    row = future.result()
-                except Exception as exc:
-                    raise SweepCellError(
-                        f"sweep cell {cell!r} failed: "
-                        f"{type(exc).__name__}: {exc}",
-                        cell=cell,
-                    ) from exc
-                rows.append(_restore_row(row, cell))
-    finally:
-        for published in arenas:
-            published.close()
+    with ProcessPoolExecutor(max_workers=max_workers or default_workers()) as pool:
+        futures = [pool.submit(_call, fn, cell, timing) for cell in cell_list]
+        for cell, future in zip(cell_list, futures):
+            try:
+                rows.append(_echo(future.result(), cell))
+            except Exception as exc:
+                raise SweepCellError(
+                    f"sweep cell {cell!r} failed: "
+                    f"{type(exc).__name__}: {exc}",
+                    cell=cell,
+                ) from exc
     return rows

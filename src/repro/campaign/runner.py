@@ -24,12 +24,14 @@ Determinism: workers receive fully materialized traces and seeded
 policies; retry timing, worker counts, and scheduling order can change
 *when* a cell is computed but never *what* it computes.
 
-Trace delivery: a parallel run publishes each materialized trace once
-into a shared-memory arena (:mod:`repro.core.arena`) and ships workers
-the small handle; a worker attaches zero-copy and, because attachments
-carry the publisher's fingerprint, content addressing is unchanged.
-When shared memory is unavailable the trace travels by pickle exactly
-as before — the arena is an optimization, never a requirement.
+Trace delivery: a parallel run hands each worker the planned trace
+object itself.  Workers start by ``fork`` where the platform has it,
+so the child inherits the trace (in-memory arrays or an ``.rtc``
+mapping) with no copy and no pickle, and its cached fingerprint keeps
+content addressing unchanged.  Because ``.rtc`` files are replaced
+atomically, a forked worker keeps the inode the parent planned
+against even if the file is re-converted mid-run.  Where only
+``spawn`` exists the trace travels by pickle.
 """
 
 from __future__ import annotations
@@ -189,9 +191,8 @@ def _worker_main(
 ) -> None:
     """Child-process entry: compute one cell, ship outcome over the pipe.
 
-    ``trace`` is either a materialized :class:`Trace` (pickle fallback)
-    or an :class:`repro.core.arena.ArenaHandle` to attach zero-copy; a
-    failed attach reports like any other cell error and retries.
+    ``trace`` is the planned :class:`Trace` itself, inherited across
+    ``fork`` (or pickled where only ``spawn`` exists).
 
     ``span_payload`` carries the parent's span tracing across the
     process boundary: the spans file path plus the ids agreed with the
@@ -200,15 +201,13 @@ def _worker_main(
     the orchestrator's ``campaign.execute`` span).  The worker appends
     to the shared file — per-record flushed single writes, so lines
     from concurrent workers interleave whole — and everything the cell
-    touches (arena attach, compile memo, replay kernels) nests under
-    the ``cell`` span via the ambient tracer.  With fork start the
+    touches (compile memo, replay kernels) nests under the ``cell``
+    span via the ambient tracer.  With fork start the
     child *inherits* the parent's tracer object; :func:`spans.enable`
     replaces it without closing, so the parent's file handle is never
     flushed or closed from the child.
     """
     try:
-        from repro.core.arena import resolve
-
         cell = CellSpec.from_dict(cell_dict)
         if span_payload is not None:
             tracer = spans.enable(
@@ -229,7 +228,7 @@ def _worker_main(
 
             cell_cm = nullcontext()
         with cell_cm:
-            fields = execute_cell(cell, resolve(trace))
+            fields = execute_cell(cell, trace)
         conn.send(("ok", fields))
     except BaseException as exc:  # report, never hang the pipe
         try:
@@ -441,7 +440,6 @@ class CampaignRunner:
             )
         self.max_workers = max_workers or default_workers()
         self.retry = retry
-        self._arenas: List[Any] = []
         self.recorder = recorder
         self._sleep = sleep
         self._tick = tick
@@ -470,24 +468,6 @@ class CampaignRunner:
             traces[key] = trace
             fingerprints[key] = trace.fingerprint()
         self._traces = traces
-        # Parallel runs ship workers arena handles where possible;
-        # traces that fail to publish fall back to pickling.
-        self._close_arenas()
-        self._trace_payloads: Dict[str, Any] = dict(traces)
-        if self.parallel:
-            from repro.core import arena
-
-            for key, trace in traces.items():
-                # mmap-backed .rtc traces need no shm publication: the
-                # file is the arena, workers map it themselves.
-                handle = arena.mmap_handle(trace)
-                if handle is not None:
-                    self._trace_payloads[key] = handle
-                    continue
-                published = arena.publish(trace)
-                if published is not None:
-                    self._arenas.append(published)
-                    self._trace_payloads[key] = published.handle
         outcomes: List[CellOutcome] = []
         todo: List[_CellState] = []
         digests = self.spec.digests(fingerprints)
@@ -677,7 +657,7 @@ class CampaignRunner:
             args=(
                 child_conn,
                 state.cell.as_dict(),
-                self._trace_payloads[state.cell.trace],
+                self._traces[state.cell.trace],
                 self._span_payload(state),
             ),
             daemon=True,
@@ -867,14 +847,11 @@ class CampaignRunner:
                 memo=True,
             )
         self._heartbeat_tick(force=True)
-        try:
-            with phase("execute"), spans.span("campaign.execute", todo=len(todo)):
-                if self.parallel and todo:
-                    executed = self._run_processes(todo)
-                else:
-                    executed = self._run_inline(todo)
-        finally:
-            self._close_arenas()
+        with phase("execute"), spans.span("campaign.execute", todo=len(todo)):
+            if self.parallel and todo:
+                executed = self._run_processes(todo)
+            else:
+                executed = self._run_inline(todo)
         outcomes = sorted(memo_outcomes + executed, key=lambda o: o.index)
         report = CampaignReport(
             spec=self.spec,
@@ -1011,12 +988,7 @@ class CampaignRunner:
         reg.gauge("campaign_memo_hit_ratio").set(report.memo_hit_ratio)
         reg.gauge("campaign_store_hit_ratio").set(self.store.hit_ratio)
 
-    def _close_arenas(self) -> None:
-        while self._arenas:
-            self._arenas.pop().close()
-
     def close(self) -> None:
-        self._close_arenas()
         self.store.close()
         self.journal.close()
 

@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.cluster.result import ClusterResult
 from repro.cluster.router import ShardRouter, split_stats
+from repro.core.conformance import KIND_CODE
 from repro.core.engine import simulate
 from repro.core.mapping import FixedBlockMapping
 from repro.core.trace import Trace
@@ -72,9 +73,6 @@ __all__ = [
 CAPACITY_MODES: Tuple[str, ...] = ("split", "per-shard")
 #: Multi-tenant partitioning modes (see the module docstring).
 TENANCY_MODES: Tuple[str, ...] = ("shared", "static", "per-tenant")
-
-#: Per-access hit-kind codes, matching :mod:`repro.core.fast`.
-_KIND_CODE = {HitKind.MISS: 0, HitKind.TEMPORAL_HIT: 1, HitKind.SPATIAL_HIT: 2}
 
 
 @dataclass(frozen=True)
@@ -135,12 +133,6 @@ class ClusterSpec:
         )
 
 
-def _scalar_metadata(trace: Trace) -> Dict[str, Any]:
-    return {
-        k: v for k, v in trace.metadata.items() if isinstance(v, (str, int, float))
-    }
-
-
 def _replay_shard(
     policy_name: str,
     capacity: int,
@@ -176,7 +168,7 @@ def _replay_shard(
     kinds = np.empty(len(sub), dtype=np.int8)
 
     def observe(pos: int, item: int, kind: HitKind) -> None:
-        kinds[pos] = _KIND_CODE[kind]
+        kinds[pos] = KIND_CODE[kind]
 
     result = simulate(instance, sub, validate=validate, on_access=observe)
     return result, kinds
@@ -197,7 +189,7 @@ def _merge_shards(
     to single-cache :func:`simulate`).
     """
     merged = SimResult(policy=policy_name, capacity=capacity)
-    merged.metadata.update(_scalar_metadata(trace))
+    merged.metadata.update(trace.scalar_metadata())
     for res in shard_results:
         merged.add_counts(res)
     return merged

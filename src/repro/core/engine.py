@@ -53,7 +53,7 @@ from repro.errors import CapacityExceeded, IllegalLoadSet, ProtocolViolation
 from repro.telemetry import spans
 from repro.types import AccessOutcome, HitKind, SimResult
 
-__all__ = ["Engine", "simulate"]
+__all__ = ["Engine", "simulate", "check_same_mapping"]
 
 
 class Engine:
@@ -188,6 +188,17 @@ class Engine:
             )
 
 
+def check_same_mapping(policy, trace: Trace) -> None:
+    """Raise :class:`ProtocolViolation` unless ``trace`` and ``policy``
+    share a block mapping (the same object, or the same universe and
+    maximum block size)."""
+    if trace.mapping is not policy.mapping and (
+        trace.mapping.universe != policy.mapping.universe
+        or trace.mapping.max_block_size != policy.mapping.max_block_size
+    ):
+        raise ProtocolViolation("trace and policy use different block mappings")
+
+
 def simulate(
     policy,
     trace: Trace,
@@ -241,11 +252,7 @@ def simulate(
     -------
     SimResult
     """
-    if trace.mapping is not policy.mapping and (
-        trace.mapping.universe != policy.mapping.universe
-        or trace.mapping.max_block_size != policy.mapping.max_block_size
-    ):
-        raise ProtocolViolation("trace and policy use different block mappings")
+    check_same_mapping(policy, trace)
     fallback_reason = None
     if fast:
         if on_access is not None or recorder is not None or cross_check_every:
@@ -267,9 +274,7 @@ def simulate(
         policy.prepare(trace)
     engine = Engine(policy, trace.mapping, validate=validate, recorder=recorder)
     engine.result.fallback_reason = fallback_reason
-    engine.result.metadata.update(
-        {k: v for k, v in trace.metadata.items() if isinstance(v, (str, int, float))}
-    )
+    engine.result.metadata.update(trace.scalar_metadata())
     items = trace.items.tolist()
     with nullcontext() if recorder is None else recorder.phase("simulate"):
         for pos, item in enumerate(items):

@@ -256,7 +256,7 @@ class MmapCompiledTrace(CompiledTrace):
 
 
 # Memoized by content fingerprint, not object identity: a sweep worker
-# that receives the same trace unpickled (or arena-attached) per cell
+# that receives the same trace unpickled per cell
 # still reuses one compilation.  The LRU cap bounds memory — compiled
 # traces hold Python-int lists, so a handful of large ones is already
 # tens of MB; typical workers touch one or two distinct traces.
@@ -1535,9 +1535,7 @@ def _batch_result(
 ) -> SimResult:
     """Assemble one kernel or Mattson replay's :class:`SimResult`."""
     result = SimResult(policy=policy_name, capacity=capacity)
-    result.metadata.update(
-        {k: v for k, v in trace.metadata.items() if isinstance(v, (str, int, float))}
-    )
+    result.metadata.update(trace.scalar_metadata())
     result.accesses = accesses
     result.misses = misses
     result.temporal_hits = temporal

@@ -15,9 +15,9 @@ geometry and its content fingerprint.  The point of the format is that
   :meth:`Trace.fingerprint`, computed incrementally by the writer, so an
   mmap-backed trace content-addresses identically to its in-memory twin
   (campaign cells memoize across the two representations).
-* For campaign workers the mmap *is* the arena: an
-  :class:`~repro.core.arena.ArenaHandle` with ``kind="rtc"`` ships only
-  the path, and every worker attaches by mapping the same file.
+* Forked campaign workers inherit the parent's mapping, and the writer
+  publishes with ``os.replace``, so re-converting a path mid-campaign
+  leaves running workers on the inode that was planned.
 
 Layout (little-endian)::
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -83,6 +83,13 @@ class Trace:
         """Number of distinct blocks referenced."""
         return int(np.unique(self.block_trace()).size) if self.items.size else 0
 
+    def scalar_metadata(self) -> Dict[str, Any]:
+        """The ``str``/``int``/``float`` metadata entries, which
+        :class:`~repro.types.SimResult` rows carry along."""
+        return {
+            k: v for k, v in self.metadata.items() if isinstance(v, (str, int, float))
+        }
+
     def fingerprint(self) -> str:
         """Stable content hash of the trace (items + block partition).
 
@@ -91,8 +98,7 @@ class Trace:
         (generator, file import, ``.npz`` round-trip); metadata is
         deliberately excluded.  Used by :mod:`repro.campaign` as the
         trace component of a cell's content address, and by
-        :mod:`repro.core.fast` / :mod:`repro.core.arena` as the compile
-        memo and arena identity.
+        :mod:`repro.core.fast` as the compile memo identity.
 
         The digest is cached on the instance (traces are treated as
         immutable throughout the codebase), so repeated lookups — one

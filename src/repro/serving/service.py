@@ -50,10 +50,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.engine import Engine
+from repro.core.engine import Engine, check_same_mapping
 from repro.core.fast import KIND_MISS, fast_fallback_reason, fast_simulate
 from repro.core.trace import Trace
-from repro.errors import ConfigurationError, ProtocolViolation
+from repro.errors import ConfigurationError
 from repro.serving.arrivals import ArrivalSpec, generate_arrivals
 from repro.serving.events import EventLoop
 from repro.serving.histograms import LatencyHistogram, ordered_sum
@@ -542,14 +542,8 @@ def serve(
     admitted request completes or is dropped before the loop ends).
     """
     config = config if config is not None else ServingConfig()
-    if engine is None and (
-        trace.mapping is not policy.mapping
-        and (
-            trace.mapping.universe != policy.mapping.universe
-            or trace.mapping.max_block_size != policy.mapping.max_block_size
-        )
-    ):
-        raise ProtocolViolation("trace and policy use different block mappings")
+    if engine is None:
+        check_same_mapping(policy, trace)
     reason = _referee_reason(policy, trace, config, engine, recorder)
     loop_reason = reason or _loop_reason(config, on_event)
     n = len(trace)
@@ -585,13 +579,7 @@ def serve(
                 engine = Engine(
                     policy, trace.mapping, validate=validate, recorder=recorder
                 )
-            engine.result.metadata.update(
-                {
-                    k: v
-                    for k, v in trace.metadata.items()
-                    if isinstance(v, (str, int, float))
-                }
-            )
+            engine.result.metadata.update(trace.scalar_metadata())
             sim = engine.result
         result = ServingResult(
             sim=sim,

@@ -5,7 +5,7 @@
 question "where did a 10k-cell campaign's three hours go" — a tree of
 named, timed regions with ids and parent ids that survives thread and
 process boundaries, so one trace file reconstructs campaign → cell →
-compile/arena-attach/replay/store, across every worker.
+compile/replay/store, across every worker.
 
 Design
 ------
@@ -35,7 +35,7 @@ Design
 
 Instrumented out of the box: the campaign executor (campaign / plan /
 execute / cell / store.put), ``execute_cell`` workers (cell →
-compile / arena.attach / replay children), the fast kernels
+compile / replay children), the fast kernels
 (compile memo hit/miss, Mattson pass, multi-capacity replay), and
 single-pass multi-policy batches.  Export a recorded file to Chrome
 trace-event JSON with ``gc-caching obs trace-export spans.jsonl`` and
@@ -290,7 +290,7 @@ class SpanTracer:
 
 # -- the ambient tracer ------------------------------------------------------
 #
-# Library internals (fast kernels, arena, sweep, campaign) call the
+# Library internals (fast kernels, sweep, campaign) call the
 # module-level span()/annotate(); with no tracer enabled these cost one
 # global read and return a shared no-op context, so instrumentation can
 # stay unconditionally in place on hot-ish paths (never per-access).

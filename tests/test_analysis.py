@@ -146,6 +146,18 @@ class TestSweep:
         assert excinfo.value.cell == {"a": 0}
         assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_sweep_rejects_max_workers_below_one(self, parallel, workers):
+        """``max_workers=0`` must not fall back to every CPU."""
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            sweep(
+                _reciprocal,
+                grid(a=[1, 2]),
+                parallel=parallel,
+                max_workers=workers,
+            )
+
     def test_cell_seconds_excludes_finalize_cost(self):
         """Timing guarantee: cell_seconds brackets the cell body only,
         not the recorder flattening (which runs finalize/sink flush)."""

@@ -307,17 +307,13 @@ def test_default_workers_env_override(monkeypatch):
         default_workers()
 
 
-def test_parallel_sweep_with_shm_disabled_matches(sweep_trace, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_SHM", "1")
+def test_parallel_sweep_pickled_trace_matches_serial(sweep_trace):
     cells = grid(
         policy=["iblp"], capacity=[8, 32], trace=[sweep_trace]
     )
-    fallback = sweep(simulate_cell, cells, parallel=True, max_workers=2)
-    monkeypatch.delenv("REPRO_NO_SHM")
+    parallel = sweep(simulate_cell, cells, parallel=True, max_workers=2)
     serial = sweep(simulate_cell, cells)
-    # The pickled-trace fallback rows match modulo the trace column
-    # (the fallback round-trips the object, arenas preserve identity).
-    strip = lambda rows: [
-        {k: v for k, v in r.items() if k != "trace"} for r in rows
-    ]
-    assert strip(fallback) == strip(serial)
+    # Workers pickle the trace in but never back: every row echoes the
+    # caller's own object.
+    assert all(row["trace"] is sweep_trace for row in parallel)
+    assert parallel == serial

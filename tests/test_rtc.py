@@ -1,12 +1,12 @@
 """Compiled-trace (.rtc) format tests: round-trip, fingerprint parity,
-mmap replay bit-identity, the stale-memo regression, arena handles,
-and campaign integration (zero-recompute resume over the same file)."""
+mmap replay bit-identity, the stale-memo regression, and campaign
+integration (zero-recompute resume over the same file, parallel workers
+that inherit the planned trace)."""
 
 import numpy as np
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, TraceSpec
-from repro.core import arena
 from repro.core.conformance import (
     assert_mmap_conformant,
     mmap_conformance_suite,
@@ -211,38 +211,6 @@ def test_fast_simulate_streams_mmap_chunked(tmp_path):
     assert got.as_row() == ref.as_row()
 
 
-# -- arena handles -----------------------------------------------------------
-
-
-def test_mmap_handle_round_trip(tmp_path):
-    trace = small_trace(length=2000)
-    mm = open_rtc(trace_to_rtc(trace, tmp_path / "t.rtc"))
-    handle = arena.mmap_handle(mm)
-    assert handle is not None and handle.kind == "rtc"
-    assert arena.mmap_handle(trace) is None  # plain traces publish via shm
-    try:
-        attached = arena.attach(handle)
-        assert attached.fingerprint() == trace.fingerprint()
-        assert np.array_equal(
-            np.asarray(attached.items), np.asarray(trace.items)
-        )
-        assert arena.attach(handle) is attached  # per-process cache
-    finally:
-        arena.detach_all()
-
-
-def test_attach_rejects_changed_rtc(tmp_path):
-    trace = small_trace(length=2000)
-    path = trace_to_rtc(trace, tmp_path / "t.rtc")
-    handle = arena.mmap_handle(open_rtc(path))
-    trace_to_rtc(small_trace(length=2000, seed=9), path)
-    try:
-        with pytest.raises(ConfigurationError, match="changed since"):
-            arena.attach(handle)
-    finally:
-        arena.detach_all()
-
-
 # -- campaign integration ----------------------------------------------------
 
 
@@ -292,7 +260,7 @@ def test_campaign_resume_recomputes_zero_cells(tmp_path):
     assert rows_first == rows_second
 
 
-def test_campaign_parallel_ships_mmap_handles(tmp_path):
+def test_campaign_parallel_over_rtc(tmp_path):
     trace = small_trace(length=2500)
     path = trace_to_rtc(trace, tmp_path / "t.rtc")
     spec = CampaignSpec.from_grid(
@@ -306,6 +274,69 @@ def test_campaign_parallel_ships_mmap_handles(tmp_path):
         tmp_path / "camp", spec, parallel=True, max_workers=2, store_sync=False
     ) as runner:
         report = runner.run()
-        payload = runner._trace_payloads["t"]
-    assert isinstance(payload, arena.ArenaHandle) and payload.kind == "rtc"
     assert report.computed == 2 and not report.quarantined
+
+
+def _mixed_spec(rtc_path):
+    return CampaignSpec.from_grid(
+        name="mixed",
+        policies=["item-lru", "block-lru", "iblp"],
+        capacities=[32, 128],
+        traces={
+            "mem": TraceSpec(
+                kind="workload",
+                name="zipf",
+                params={"length": 2000, "universe": 512, "block_size": 8},
+            ),
+            "rtc": TraceSpec(kind="rtc", path=str(rtc_path)),
+        },
+        fast=True,
+    )
+
+
+def _run_rows(directory, spec, parallel):
+    with CampaignRunner(
+        directory, spec, parallel=parallel, max_workers=2, store_sync=False
+    ) as runner:
+        report = runner.run()
+    assert not report.quarantined
+    return report.rows()
+
+
+def test_parallel_campaign_creates_no_shared_memory(tmp_path, monkeypatch):
+    """Workers inherit both trace kinds; nothing is published to shm."""
+    from multiprocessing import shared_memory
+
+    created = []
+
+    def refuse(*args, **kwargs):
+        created.append((args, kwargs))
+        raise OSError("shared memory is off limits")
+
+    spec = _mixed_spec(trace_to_rtc(small_trace(length=2500), tmp_path / "t.rtc"))
+    serial = _run_rows(tmp_path / "serial", spec, parallel=False)
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    parallel = _run_rows(tmp_path / "parallel", spec, parallel=True)
+    assert created == []
+    assert parallel == serial
+
+
+def test_parallel_campaign_survives_rtc_reconverted_after_planning(
+    tmp_path, monkeypatch
+):
+    """A worker replays the trace that was planned, not the file's
+    later contents: the re-conversion replaces the path's inode, and
+    the worker keeps the planned mapping."""
+    path = trace_to_rtc(small_trace(length=2500), tmp_path / "t.rtc")
+    spec = _mixed_spec(path)
+    planned = _run_rows(tmp_path / "serial", spec, parallel=False)
+    original_plan = CampaignRunner._plan
+
+    def plan_then_reconvert(self):
+        result = original_plan(self)
+        trace_to_rtc(small_trace(length=2500, seed=9), path)
+        return result
+
+    monkeypatch.setattr(CampaignRunner, "_plan", plan_then_reconvert)
+    assert _run_rows(tmp_path / "parallel", spec, parallel=True) == planned
+    assert open_rtc(path).fingerprint() != small_trace(length=2500).fingerprint()
