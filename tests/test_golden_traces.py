@@ -22,7 +22,9 @@ from repro.core.trace import Trace
 from repro.policies import make_policy, policy_names
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
+#: Trace fixtures only: ``serving.json`` holds serving-payload digests
+#: (``tests/test_serving_golden.py``), not a trace.
+GOLDEN_FILES = sorted(p for p in GOLDEN_DIR.glob("*.json") if p.name != "serving.json")
 FIELDS = (
     "accesses",
     "misses",
