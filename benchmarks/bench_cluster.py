@@ -14,6 +14,15 @@ cluster replay by the four per-shard ``simulate(fast=True)`` calls,
 both after a warm-up so every sub-trace's compilation is memoized, and
 is gated at ≤1.4× (:data:`FAST_GATE`).
 
+Cluster serving is timed the same way: ``cluster_serve_speedup`` is
+the time of the referee oracle, ``serve(engine=ClusterEngine(...))``,
+over the time of ``serve_cluster``, which steps one kernel per shard.
+The run is SJF with an admission bound under MMPP arrivals at 0.9
+load (the e2e ``cluster`` workload's serving shape) on a
+:data:`SERVE_LENGTH`-request prefix, both sides must return the same
+:meth:`ServingResult.fields`, and the ratio is gated at
+≥ :data:`SERVE_GATE`.
+
 The run also re-asserts the conservation invariant (merged taxonomy ==
 per-shard sums) and records the paper-facing headline as a
 machine-independent ratio: the IBLP-vs-item-LRU miss gap under
@@ -40,8 +49,11 @@ import pytest
 
 from _harness import metric, write_bench
 from repro.cluster import ClusterSpec, replay_cluster
+from repro.cluster.serving_bridge import ClusterEngine, serve_cluster
 from repro.core.engine import simulate
+from repro.core.trace import Trace
 from repro.policies import make_policy
+from repro.serving import ArrivalSpec, ServiceModel, ServingConfig, serve
 from repro.workloads import markov_spatial
 
 LENGTH = int(os.environ.get("REPRO_CLUSTER_BENCH_LEN", "300000"))
@@ -51,6 +63,9 @@ CAPACITY = 256
 N_SHARDS = 4
 #: Timed runs per fast-path side; the fastest one counts.
 FAST_RUNS = 3
+#: Requests served per cluster-serving run, and its speedup gate.
+SERVE_LENGTH = 25_000
+SERVE_GATE = 1.3
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +102,32 @@ def _fast_overhead(trace, spec, plan):
     return t_cluster, t_shards
 
 
+def _serve_speedup(trace, spec):
+    """Fastest referee-oracle cluster serving over fastest ``serve_cluster``."""
+    sub = Trace(trace.items[:SERVE_LENGTH], trace.mapping, dict(trace.metadata))
+    offline = replay_cluster("iblp", CAPACITY, sub, spec, fast=True).sim
+    mean_service = 1.0 + (100.0 * offline.misses + offline.loaded_items - offline.misses) / offline.accesses
+    config = ServingConfig(
+        arrival=ArrivalSpec(process="mmpp", rate=0.9 * 4 / mean_service, seed=1),
+        service=ServiceModel(t_hit=1.0, t_miss=100.0, t_item=1.0),
+        concurrency=4,
+        queue="sjf",
+        queue_limit=8,
+    )
+    t_kernel = t_referee = float("inf")
+    for _ in range(FAST_RUNS):
+        t0 = time.perf_counter()
+        served = serve_cluster("iblp", CAPACITY, sub, spec, config)
+        t_kernel = min(t_kernel, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        oracle = serve(
+            None, sub, config, engine=ClusterEngine("iblp", CAPACITY, sub, spec)
+        )
+        t_referee = min(t_referee, time.perf_counter() - t0)
+        assert served.fields() == oracle.fields()
+    return t_kernel, t_referee
+
+
 def test_cluster_overhead_gate(bench_trace, out_dir):
     spec = ClusterSpec(n_shards=N_SHARDS, scheme="block")
 
@@ -116,6 +157,8 @@ def test_cluster_overhead_gate(bench_trace, out_dir):
     overhead = t_cluster / t_shards
     t_fast_cluster, t_fast_shards = _fast_overhead(bench_trace, spec, plan)
     fast_overhead = t_fast_cluster / t_fast_shards
+    t_serve, t_serve_referee = _serve_speedup(bench_trace, spec)
+    serve_speedup = t_serve_referee / t_serve
     path = write_bench(
         "cluster",
         metrics={
@@ -129,6 +172,9 @@ def test_cluster_overhead_gate(bench_trace, out_dir):
             "fast_per_shard_seconds": metric(t_fast_shards, "s", "lower"),
             "fast_cluster_overhead": metric(fast_overhead, "x", "lower"),
             "gap_retention": metric(gap_retention, "x", "higher"),
+            "cluster_serve_seconds": metric(t_serve, "s", "lower"),
+            "cluster_engine_serve_seconds": metric(t_serve_referee, "s", "lower"),
+            "cluster_serve_speedup": metric(serve_speedup, "x", "higher"),
         },
         extra={
             "trace_length": LENGTH,
@@ -138,13 +184,16 @@ def test_cluster_overhead_gate(bench_trace, out_dir):
             "item_scheme_miss_gap": item_gap,
             "gate": GATE,
             "fast_gate": FAST_GATE,
+            "serve_length": SERVE_LENGTH,
+            "serve_gate": SERVE_GATE,
         },
     )
     print(
         f"\ncluster: {LENGTH} accesses x {N_SHARDS} shards in "
         f"{t_cluster:.2f}s vs {t_shards:.2f}s per-shard floor, "
         f"overhead {overhead:.2f}x (fast path {fast_overhead:.2f}x), "
-        f"gap retention {gap_retention:.2f}x "
+        f"gap retention {gap_retention:.2f}x, "
+        f"serving {serve_speedup:.2f}x faster than the referee oracle "
         f"-> {path}"
     )
     assert overhead <= GATE, (
@@ -155,6 +204,11 @@ def test_cluster_overhead_gate(bench_trace, out_dir):
         f"fast-path cluster overhead {fast_overhead:.2f}x above the "
         f"{FAST_GATE:.1f}x gate (cluster {t_fast_cluster:.3f}s vs per-shard "
         f"floor {t_fast_shards:.3f}s)"
+    )
+    assert serve_speedup >= SERVE_GATE, (
+        f"serve_cluster only {serve_speedup:.2f}x faster than "
+        f"serve(engine=ClusterEngine(...)), below the {SERVE_GATE:.1f}x gate "
+        f"({t_serve:.3f}s vs {t_serve_referee:.3f}s)"
     )
     assert gap_retention > 1.0, (
         f"block-aware hashing kept a smaller miss gap ({block_gap:.3f}) "

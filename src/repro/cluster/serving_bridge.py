@@ -1,16 +1,23 @@
 """Cluster dispatch for the request-level serving simulator.
 
-:class:`ClusterEngine` presents the referee
-:class:`~repro.core.engine.Engine` surface the serving loop drives —
-``access(item)`` → :class:`~repro.types.HitKind`, a live merged
-``result``, a ``resident`` membership view for the SJF queue — while
-routing every request to its owning shard's engine through a
-precomputed item→shard table over the trace's distinct items (one dict
-lookup per access, no per-access hashing, memory O(distinct items)).
-:func:`serve_cluster` then reuses the *unmodified* serving event loop
-via ``serve(engine=...)``: arrivals, queueing, drops, and histograms
-all behave exactly as in the single-cache case, so tail latency
+:func:`serve_cluster` serves one arrival stream through one server pool
+whose cache is an N-shard cluster: arrivals, queueing, drops and
+histograms behave exactly as in the single-cache case, so tail latency
 differences between hash schemes come from cache behaviour alone.
+Every request routes to its owning shard through a precomputed
+item→shard table over the trace's distinct items (one dict lookup per
+access, no per-access hashing, memory O(distinct items)).
+
+Each shard is a :func:`repro.core.fast.stepper` kernel stepped once per
+started request, so SJF reads the shard kernels' residency probes.
+Policies without a kernel (the offline Belady family) and ETC-sized
+service stay on the referee: :class:`ClusterEngine` presents the
+referee :class:`~repro.core.engine.Engine` surface the serving loop
+drives — ``access(item)`` → :class:`~repro.types.HitKind`, a live
+merged ``result``, a ``resident`` membership view — over N per-shard
+referee engines, and ``serve(engine=ClusterEngine(...))`` is the
+oracle the kernel path must match field for field
+(``tests/test_cluster_serving.py``).
 
 At ``n_shards=1`` every request routes to shard 0 with the full
 capacity, so the served cache stream — and the embedded
@@ -21,14 +28,21 @@ capacity, so the served cache stream — and the embedded
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.replay import ClusterSpec
 from repro.core.engine import Engine
+from repro.core.fast import KIND_MISS, stepper
 from repro.core.trace import Trace
-from repro.serving.service import ServingConfig, ServingResult, serve
+from repro.serving.service import (
+    ServingConfig,
+    ServingResult,
+    _referee_reason,
+    _serve,
+    serve,
+)
 from repro.telemetry import spans
 from repro.types import HitKind, SimResult
 
@@ -58,6 +72,32 @@ class _ClusterResident:
         return sum(len(engine.resident) for engine in self._engines)
 
 
+def _shard_table(trace: Trace, cluster: ClusterSpec) -> Dict[int, int]:
+    """item id → shard id over the trace's distinct items: the
+    per-access routing cost is one dict lookup, and the table grows
+    with the trace, not the universe."""
+    distinct = np.unique(trace.items)
+    shards = cluster.router().shards_of(distinct, trace.mapping)
+    return dict(zip(distinct.tolist(), shards.tolist()))
+
+
+def _shard_policies(
+    policy: str,
+    capacity: int,
+    trace: Trace,
+    cluster: ClusterSpec,
+    policy_kwargs: Optional[Mapping[str, Any]],
+) -> list:
+    """One fresh policy instance per shard at the shard capacity."""
+    from repro.policies import make_policy
+
+    shard_capacity = cluster.shard_capacity(capacity)
+    return [
+        make_policy(policy, shard_capacity, trace.mapping, **dict(policy_kwargs or {}))
+        for _ in range(cluster.n_shards)
+    ]
+
+
 class ClusterEngine:
     """N per-shard referee engines behind one Engine-shaped facade.
 
@@ -82,36 +122,18 @@ class ClusterEngine:
         policy_kwargs: Optional[Mapping[str, Any]] = None,
         validate: bool = True,
     ) -> None:
-        from repro.policies import make_policy
-
-        router = cluster.router()
         self.cluster = cluster
         self.mapping = trace.mapping
-        shard_capacity = cluster.shard_capacity(capacity)
-        instances = [
-            make_policy(
-                policy, shard_capacity, trace.mapping, **dict(policy_kwargs or {})
-            )
-            for _ in range(cluster.n_shards)
-        ]
+        instances = _shard_policies(policy, capacity, trace, cluster, policy_kwargs)
         if any(inst.is_offline for inst in instances):
-            plan = router.split(trace)
+            plan = cluster.router().split(trace)
             for inst, sub in zip(instances, plan.subtraces):
                 if inst.is_offline:
                     inst.prepare(sub)
         self.engines = [
             Engine(inst, trace.mapping, validate=validate) for inst in instances
         ]
-        #: item id → shard id over the trace's distinct items: the
-        #: per-access routing cost is one dict lookup, and the table
-        #: grows with the trace, not the universe.
-        distinct = np.unique(trace.items)
-        self._lookup: Dict[int, int] = dict(
-            zip(
-                distinct.tolist(),
-                router.shards_of(distinct, trace.mapping).tolist(),
-            )
-        )
+        self._lookup = _shard_table(trace, cluster)
         self.resident = _ClusterResident(self.engines, self._lookup)
         self.result = SimResult(
             policy=getattr(instances[0], "name", type(instances[0]).__name__),
@@ -146,6 +168,62 @@ class ClusterEngine:
         return [engine.result for engine in self.engines]
 
 
+class _ClusterStepper:
+    """N per-shard kernel steppers behind the item→shard table.
+
+    The :class:`~repro.core.fast.Stepper` surface the serving loop
+    drives: ``step(index)`` runs trace position ``index`` on its owning
+    shard's kernel, ``contains(item)`` asks that shard's residency
+    probe, and :meth:`result` merges the shard counters the way
+    :class:`ClusterEngine` folds them.
+    """
+
+    def __init__(self, instances: list, capacity: int, trace: Trace, cluster: ClusterSpec) -> None:
+        self._steppers = [stepper(inst, trace) for inst in instances]
+        self._name = getattr(instances[0], "name", type(instances[0]).__name__)
+        self._capacity = capacity
+        lookup = _shard_table(trace, cluster)
+        items = trace.items.tolist()
+        steps = [shard.step for shard in self._steppers]
+        probes = [shard.contains for shard in self._steppers]
+
+        def step(index: int) -> Tuple[int, int]:
+            return steps[lookup[items[index]]](index)
+
+        def contains(item: int) -> bool:
+            shard = lookup.get(item)
+            return shard is not None and probes[shard](item)
+
+        self.step = step
+        self.contains = contains
+
+    def result(self, trace: Trace) -> SimResult:
+        merged = SimResult(policy=self._name, capacity=self._capacity)
+        merged.metadata.update(trace.scalar_metadata())
+        for shard in self._steppers:
+            part = shard.result(trace)
+            merged.accesses += part.accesses
+            merged.misses += part.misses
+            merged.temporal_hits += part.temporal_hits
+            merged.spatial_hits += part.spatial_hits
+            merged.loaded_items += part.loaded_items
+            merged.evicted_items += part.evicted_items
+        return merged
+
+
+def _stepped_replay(cache: _ClusterStepper, trace: Trace) -> Tuple[SimResult, List[int], List[int]]:
+    """Step every request in trace order: the fixed FIFO stream's pass."""
+    record: List[int] = []
+    loads: List[int] = []
+    step = cache.step
+    for index in range(len(trace)):
+        code, load = step(index)
+        record.append(code)
+        if code == KIND_MISS:
+            loads.append(load)
+    return cache.result(trace), record, loads
+
+
 def serve_cluster(
     policy: str,
     capacity: int,
@@ -166,28 +244,52 @@ def serve_cluster(
     up purely as hit/miss mix and load-set-size changes.  The returned
     :class:`~repro.serving.ServingResult` carries the merged cluster
     taxonomy as its ``sim``.
+
+    Shards run on kernel steppers when a kernel covers the policy and
+    service sizes are fixed; otherwise (``fallback_reason``
+    ``"etc-sizes"`` or a :func:`~repro.core.fast.fast_fallback_reason`
+    value) the run is ``serve(engine=ClusterEngine(...))``.  The
+    ``cluster.serve`` span records ``path="kernel"|"referee"`` and the
+    ``fallback_reason``; ``validate`` applies to the referee only.
     """
+    config = config if config is not None else ServingConfig()
     with spans.span(
         "cluster.serve",
         policy=policy,
         capacity=capacity,
         n_shards=cluster.n_shards,
         scheme=cluster.scheme,
-    ):
-        engine = ClusterEngine(
-            policy,
-            capacity,
-            trace,
-            cluster,
-            policy_kwargs=policy_kwargs,
-            validate=validate,
-        )
-        return serve(
-            None,
+    ) as sp:
+        instances = _shard_policies(policy, capacity, trace, cluster, policy_kwargs)
+        reason = _referee_reason(instances[0], trace, config, None, None)
+        if sp is not None:
+            sp.set("path", "kernel" if reason is None else "referee")
+            sp.set("fallback_reason", reason)
+        if reason is not None:
+            engine = ClusterEngine(
+                policy,
+                capacity,
+                trace,
+                cluster,
+                policy_kwargs=policy_kwargs,
+                validate=validate,
+            )
+            return serve(
+                None,
+                trace,
+                config,
+                validate=validate,
+                engine=engine,
+                on_access=on_access,
+                on_event=on_event,
+            )
+        cache = _ClusterStepper(instances, capacity, trace, cluster)
+        return _serve(
             trace,
             config,
-            validate=validate,
-            engine=engine,
-            on_access=on_access,
-            on_event=on_event,
+            None,
+            lambda: _stepped_replay(cache, trace),
+            lambda: cache,
+            on_access,
+            on_event,
         )

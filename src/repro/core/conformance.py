@@ -11,7 +11,13 @@ validating referee engine produce the *same computation*:
   on aggregates while disagreeing on individual accesses, and
 * the per-miss load-set sizes (``mode="loads"`` rows: the kernel's
   ``loads`` list against the referee's ``len(outcome.loaded)``, miss
-  for miss), which is what serving prices each miss with.
+  for miss), which is what serving prices each miss with, and
+* a kernel stepped one access at a time (``mode="step"`` rows:
+  :func:`repro.core.fast.stepper` against a referee
+  :class:`~repro.core.engine.Engine` fed the same positions, skipped
+  and reordered the way SJF and drops serve them), its residency probe
+  included — what serving steps when its cache stream depends on
+  service times.
 
 The referee side runs with full validation *and* periodic residency
 cross-checks, so a conformance pass simultaneously certifies the
@@ -24,10 +30,11 @@ bulk entry point CI uses.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.engine import simulate
+from repro.core.engine import Engine, simulate
 from repro.core.fast import (
     FAST_POLICY_NAMES,
     KIND_MISS,
@@ -40,6 +47,7 @@ from repro.core.fast import (
     multi_capacity_supported,
     multi_policy_replay,
     multi_policy_supported,
+    stepper,
 )
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
@@ -59,6 +67,9 @@ __all__ = [
     "assert_multi_capacity_conformant",
     "check_multi_policy",
     "assert_multi_policy_conformant",
+    "check_step",
+    "assert_step_conformant",
+    "served_order",
     "check_mmap_conformance",
     "assert_mmap_conformant",
     "mmap_conformance_suite",
@@ -71,6 +82,9 @@ KIND_CODE: Dict[HitKind, int] = {
     HitKind.TEMPORAL_HIT: KIND_TEMPORAL,
     HitKind.SPATIAL_HIT: KIND_SPATIAL,
 }
+
+#: Trace positions a :func:`conformance_suite` ``mode="step"`` row serves.
+STEP_ROW_POSITIONS = 256
 
 #: Every SimResult field that must match bit-for-bit.
 RESULT_FIELDS: Tuple[str, ...] = (
@@ -293,6 +307,103 @@ def assert_loads_conformant(
 ) -> ConformanceReport:
     """:func:`check_loads`, raising ``AssertionError`` on divergence."""
     report = check_loads(name, capacity, trace, **policy_kwargs)
+    assert report.ok, str(report)
+    return report
+
+
+def served_order(positions: int, seed: int) -> List[int]:
+    """Trace positions ``0..positions-1`` as a loaded server might start
+    them: about one in ten skipped (dropped) and the rest shuffled
+    within windows of four (reordered by a shortest-job-first queue).
+    """
+    rng = random.Random(seed)
+    order = [index for index in range(positions) if rng.random() >= 0.1]
+    for lo in range(0, len(order), 4):
+        window = order[lo : lo + 4]
+        rng.shuffle(window)
+        order[lo : lo + 4] = window
+    return order
+
+
+def check_step(
+    name: str,
+    capacity: int,
+    trace: Trace,
+    order: Optional[Sequence[int]] = None,
+    **policy_kwargs,
+) -> ConformanceReport:
+    """Interleave a kernel :func:`~repro.core.fast.stepper` with the referee.
+
+    Both serve the items at trace positions ``order`` (default: trace
+    order; positions may be skipped or permuted), one at a time.  After
+    each access the stepper's ``(code, load_size)`` must equal the
+    validating referee's outcome, and its ``contains`` must agree with
+    ``item in engine.resident`` on every member of the accessed block
+    and on the previously accessed item; at the end every
+    :data:`RESULT_FIELDS` member must match.  Raises
+    :class:`ConfigurationError` if the policy has no fast kernel.
+    """
+    if order is None:
+        order = range(len(trace))
+    ref_policy = make_policy(name, capacity, trace.mapping, **policy_kwargs)
+    kernel = stepper(
+        make_policy(name, capacity, trace.mapping, **policy_kwargs), trace
+    )
+    if kernel is None:
+        raise ConfigurationError(
+            f"policy {name!r} has no fast kernel; step conformance is "
+            f"undefined (supported: {', '.join(FAST_POLICY_NAMES)})"
+        )
+    engine = Engine(ref_policy, trace.mapping, validate=True)
+    engine.result.metadata.update(trace.scalar_metadata())
+    mapping = trace.mapping
+    items = trace.items.tolist()
+    report = ConformanceReport(
+        policy=engine.result.policy, capacity=capacity, accesses=len(order)
+    )
+    out = report.mismatches
+    previous: Optional[int] = None
+    for step_no, index in enumerate(order):
+        item = items[index]
+        loaded_before = engine.result.loaded_items
+        kind = engine.access(item)
+        loaded = engine.result.loaded_items - loaded_before
+        want = (KIND_CODE[kind], loaded if kind is HitKind.MISS else 0)
+        got = kernel.step(index)
+        if got != want:
+            out.append(
+                f"step {step_no} (position {index}): (code, load) "
+                f"referee={want} kernel={got}"
+            )
+        probes = set(mapping.items_in(mapping.block_of(item)))
+        if previous is not None:
+            probes.add(previous)
+        for probe in sorted(probes):
+            if kernel.contains(probe) != (probe in engine.resident):
+                out.append(
+                    f"step {step_no}: contains({probe}) "
+                    f"referee={probe in engine.resident} "
+                    f"kernel={kernel.contains(probe)}"
+                )
+        previous = item
+        if len(out) >= 5:
+            out.append("... further step divergences suppressed")
+            return report
+    out.extend(
+        _diff_results(engine.result, kernel.result(trace), "referee", "stepper")
+    )
+    return report
+
+
+def assert_step_conformant(
+    name: str,
+    capacity: int,
+    trace: Trace,
+    order: Optional[Sequence[int]] = None,
+    **policy_kwargs,
+) -> ConformanceReport:
+    """:func:`check_step`, raising ``AssertionError`` on divergence."""
+    report = check_step(name, capacity, trace, order, **policy_kwargs)
     assert report.ok, str(report)
     return report
 
@@ -527,6 +638,11 @@ def conformance_suite(
     seeded GCM family at ``seed ∈ {0, 7}`` (deeper seed grids live in
     ``tests/test_gcm_determinism.py``).
 
+    Every cell also yields a ``mode="step"`` row (:func:`check_step`)
+    over the first :data:`STEP_ROW_POSITIONS` positions of the trace in
+    a :func:`served_order` seeded by the capacity, so stepped kernels
+    are certified on skipped and reordered streams too.
+
     Stack policies additionally get ``mode="batched"`` rows: the whole
     capacity family recomputed by one
     :func:`repro.core.fast.multi_capacity_replay` call and diffed
@@ -555,7 +671,14 @@ def conformance_suite(
             for kwargs in variants:
                 for capacity in caps:
                     reports = _check_cell(policy, capacity, trace, 16, kwargs)
-                    for mode, report in zip(("cell", "loads"), reports):
+                    step = check_step(
+                        policy,
+                        capacity,
+                        trace,
+                        served_order(min(len(trace), STEP_ROW_POSITIONS), capacity),
+                        **kwargs,
+                    )
+                    for mode, report in zip(("cell", "loads", "step"), (*reports, step)):
                         rows.append(
                             {
                                 "trace": trace_name,

@@ -38,6 +38,9 @@ Entry points
   many policy kernels over one chunked traversal (decode, block
   mapping, and load-set tables shared the way
   :func:`multi_capacity_replay` shares the Mattson pass).
+* :func:`stepper` — one kernel advanced one access at a time, in any
+  order, with an O(1) residency probe: what request serving steps when
+  its cache stream depends on service times (SJF, drops, clusters).
 * :func:`supports` / :data:`FAST_POLICY_NAMES` — kernel coverage.
 
 Fallback rules (any of these routes the access back to the referee):
@@ -59,17 +62,19 @@ replica.
 Kernel architecture
 -------------------
 Each kernel is a *stepper factory* ``f(compiled, policy, record, loads)
--> (run, finish)``: all replay state lives in the factory's closure,
-``run(items, blocks, dense)`` advances the policy over one contiguous
-chunk of accesses (the full trace is just one big chunk), and
-``finish()`` returns the final counters.  Both replay entry points
+-> (run, finish, contains)``: all replay state lives in the factory's
+closure, ``run(items, blocks, dense)`` advances the policy over one
+contiguous chunk of accesses (the full trace is just one big chunk),
+``finish()`` returns the final counters, and ``contains(item)`` is the
+kernel's residency test on an original item id.  Both replay entry points
 drive kernels through one stepper loop: :func:`fast_simulate` calls
 ``run`` once over the whole compiled trace — the loop body is
 identical to a monolithic kernel, so single-policy replay pays nothing
 for the factoring — while :func:`multi_policy_replay` interleaves many
 ``run`` calls over cache-sized chunks of the same compiled arrays,
 which is what makes the single-pass multi-policy traversal possible
-without per-access dispatch overhead.
+without per-access dispatch overhead.  :func:`stepper` feeds ``run``
+one-access chunks at arbitrary trace positions.
 """
 
 from __future__ import annotations
@@ -103,6 +108,8 @@ __all__ = [
     "compile_trace",
     "fast_simulate",
     "fast_fallback_reason",
+    "Stepper",
+    "stepper",
     "supports",
     "FAST_POLICY_NAMES",
     "KIND_MISS",
@@ -166,6 +173,7 @@ class CompiledTrace:
         "unique_items",
         "block_members",
         "item_block",
+        "_dense_index",
     )
 
     def __init__(self, trace: Trace) -> None:
@@ -182,6 +190,7 @@ class CompiledTrace:
         self.unique_items = unique
         self.n_distinct = int(unique.size)
         self.dense: List[int] = inverse.tolist()
+        self._dense_index: Optional[Dict[int, int]] = None
         self.block_members: Dict[int, Tuple[int, ...]] = {}
         self.item_block: Dict[int, int] = {}
         for blk in np.unique(blocks_arr).tolist():
@@ -189,6 +198,18 @@ class CompiledTrace:
             self.block_members[blk] = members
             for member in members:
                 self.item_block[member] = blk
+
+    def dense_index(self) -> Dict[int, int]:
+        """``item id → dense id`` over the trace's distinct items.
+
+        Built on first use: only residency probes on dense-id kernels
+        (:func:`stepper`'s ``contains``) need it, batch replays never.
+        """
+        if self._dense_index is None:
+            self._dense_index = dict(
+                zip(self.unique_items.tolist(), range(self.n_distinct))
+            )
+        return self._dense_index
 
     def iter_chunks(
         self, chunk: Optional[int] = None
@@ -234,6 +255,7 @@ class MmapCompiledTrace(CompiledTrace):
         self.dense = rtc.dense
         self.unique_items = np.asarray(rtc.unique_items)
         self.n_distinct = int(self.unique_items.size)
+        self._dense_index = None
         self.block_members = {}
         self.item_block = {}
         for blk in np.asarray(rtc.unique_blocks).tolist():
@@ -316,11 +338,13 @@ _Record = Optional[List[int]]
 #: ``run(items_chunk, blocks_chunk, dense_chunk)`` advances the kernel
 #: over one contiguous slice of the compiled trace.
 _RunFn = Callable[[List[int], List[int], List[int]], None]
+#: ``contains(item)``: whether an original item id is resident now.
+_ContainsFn = Callable[[int], bool]
 #: A kernel factory ``f(compiled, policy, record, loads)``: closure
-#: state + (run, finish) steppers.
+#: state + (run, finish, contains).
 _Kernel = Callable[
     ["CompiledTrace", "object", _Record, _Record],
-    Tuple[_RunFn, Callable[[], _Counts]],
+    Tuple[_RunFn, Callable[[], _Counts], _ContainsFn],
 ]
 
 
@@ -389,7 +413,11 @@ def _kernel_item_recency(
     def finish() -> _Counts:
         return st[1], st[2], 0, st[1], st[3]
 
-    return run, finish
+    def contains(item: int) -> bool:
+        d = ct.dense_index().get(item)
+        return d is not None and resident[d] == 1
+
+    return run, finish, contains
 
 
 def _kernel_item_mru(
@@ -429,7 +457,11 @@ def _kernel_item_mru(
     def finish() -> _Counts:
         return st[0], st[1], 0, st[0], st[2]
 
-    return run, finish
+    def contains(item: int) -> bool:
+        d = ct.dense_index().get(item)
+        return d is not None and d in order
+
+    return run, finish, contains
 
 
 def _kernel_item_clock(
@@ -510,7 +542,11 @@ def _kernel_item_clock(
     def finish() -> _Counts:
         return st[2], st[3], 0, st[2], st[4]
 
-    return run, finish
+    def contains(item: int) -> bool:
+        d = ct.dense_index().get(item)
+        return d is not None and resident[d] == 1
+
+    return run, finish, contains
 
 
 def _kernel_item_lfu(
@@ -567,7 +603,11 @@ def _kernel_item_lfu(
     def finish() -> _Counts:
         return st[1], st[2], 0, st[1], st[3]
 
-    return run, finish
+    def contains(item: int) -> bool:
+        d = ct.dense_index().get(item)
+        return d is not None and d in freq
+
+    return run, finish, contains
 
 
 def _kernel_item_random(
@@ -617,7 +657,11 @@ def _kernel_item_random(
     def finish() -> _Counts:
         return st[0], st[1], 0, st[0], st[2]
 
-    return run, finish
+    def contains(item: int) -> bool:
+        d = ct.dense_index().get(item)
+        return d is not None and resident[d] == 1
+
+    return run, finish, contains
 
 
 def _kernel_item_twoq(
@@ -686,7 +730,11 @@ def _kernel_item_twoq(
     def finish() -> _Counts:
         return st[0], st[1], 0, st[0], st[2]
 
-    return run, finish
+    def contains(item: int) -> bool:
+        d = ct.dense_index().get(item)
+        return d is not None and (d in am or d in a1in)
+
+    return run, finish, contains
 
 
 def _kernel_marking_lru(
@@ -730,7 +778,11 @@ def _kernel_marking_lru(
     def finish() -> _Counts:
         return st[0], st[1], 0, st[0], st[2]
 
-    return run, finish
+    def contains(item: int) -> bool:
+        d = ct.dense_index().get(item)
+        return d is not None and d in order
+
+    return run, finish, contains
 
 
 # -- block-granularity kernels (referee hit-taxonomy replicated) ------------
@@ -862,7 +914,7 @@ def _kernel_gcm(
     def finish() -> _Counts:
         return st[0], st[1], st[2], st[3], st[4]
 
-    return run, finish
+    return run, finish, resident.__contains__
 
 
 def _kernel_block(
@@ -948,7 +1000,7 @@ def _kernel_block(
     def finish() -> _Counts:
         return st[0], st[1], st[2], st[3], st[4]
 
-    return run, finish
+    return run, finish, resident.__contains__
 
 
 def _kernel_iblp(
@@ -1080,7 +1132,10 @@ def _kernel_iblp(
     def finish() -> _Counts:
         return st[0], st[1], st[2], st[3], st[4]
 
-    return run, finish
+    def contains(item: int) -> bool:
+        return item in items_d or item in bitems
+
+    return run, finish, contains
 
 
 def _kernel_iblp_adaptive(
@@ -1257,7 +1312,10 @@ def _kernel_iblp_adaptive(
     def finish() -> _Counts:
         return st[0], st[1], st[2], st[3], st[4]
 
-    return run, finish
+    def contains(item: int) -> bool:
+        return item in items_d or item in bitems
+
+    return run, finish, contains
 
 
 def _kernel_athreshold(
@@ -1350,7 +1408,7 @@ def _kernel_athreshold(
     def finish() -> _Counts:
         return st[0], st[1], st[2], st[3], st[4]
 
-    return run, finish
+    return run, finish, resident.__contains__
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -1517,9 +1575,86 @@ def _replay_steppers(
         for policy, rec, lds in kernels
     ]
     for items_c, blocks_c, dense_c in compiled.iter_chunks(chunk):
-        for run, _finish in steppers:
+        for run, _finish, _contains in steppers:
             run(items_c, blocks_c, dense_c)
-    return [finish() for _run, finish in steppers]
+    return [finish() for _run, finish, _contains in steppers]
+
+
+class Stepper:
+    """One replay kernel advanced one access at a time (:func:`stepper`).
+
+    ``step(index)`` replays the access at trace position ``index`` and
+    returns ``(code, load_size)``: its :data:`KIND_MISS` /
+    :data:`KIND_TEMPORAL` / :data:`KIND_SPATIAL` code and, on a miss,
+    the effective load-set size (``0`` on a hit).  Positions may come
+    in any order and any may be skipped: the kernel sees exactly the
+    stepped access stream, as the referee would if it were handed the
+    same items in the same order.  ``contains(item)`` is the kernel's
+    O(1) residency test, and :meth:`result` the :class:`SimResult` of
+    the accesses stepped so far.
+    """
+
+    __slots__ = ("step", "contains", "_finish", "_name", "_capacity")
+
+    def __init__(
+        self,
+        step: Callable[[int], Tuple[int, int]],
+        contains: _ContainsFn,
+        finish: Callable[[], _Counts],
+        name: str,
+        capacity: int,
+    ) -> None:
+        self.step = step
+        self.contains = contains
+        self._finish = finish
+        self._name = name
+        self._capacity = capacity
+
+    def result(self, trace: Trace) -> SimResult:
+        """The referee-identical :class:`SimResult` of the steps so far."""
+        misses, temporal, spatial, loaded, evicted = self._finish()
+        return _batch_result(
+            self._name,
+            self._capacity,
+            trace,
+            misses + temporal + spatial,
+            misses,
+            temporal,
+            spatial,
+            loaded,
+            evicted,
+        )
+
+
+def stepper(policy, trace: Trace) -> Optional[Stepper]:
+    """A :class:`Stepper` over ``policy``'s kernel, or ``None`` without one.
+
+    The fallback rules are :func:`fast_simulate`'s.  Each step feeds the
+    kernel's ``run`` a one-access chunk, so it replays the same code a
+    batch replay does, and the policy object is never mutated.  An
+    mmap-backed trace's columns are materialized as Python lists once.
+    """
+    if fast_fallback_reason(policy, trace) is not None:
+        return None
+    compiled = compile_trace(trace)
+    items, blocks, dense = compiled.items, compiled.blocks, compiled.dense
+    if not isinstance(items, list):
+        items, blocks, dense = items.tolist(), blocks.tolist(), dense.tolist()
+    record: List[int] = []
+    loads: List[int] = []
+    run, finish, contains = _DISPATCH[type(policy)](compiled, policy, record, loads)
+    one_item, one_block, one_dense = [0], [0], [0]
+
+    def step(index: int) -> Tuple[int, int]:
+        one_item[0] = items[index]
+        one_block[0] = blocks[index]
+        one_dense[0] = dense[index]
+        run(one_item, one_block, one_dense)
+        code = record.pop()
+        return (code, loads.pop()) if code == KIND_MISS else (code, 0)
+
+    name = getattr(policy, "name", type(policy).__name__)
+    return Stepper(step, contains, finish, name, policy.capacity)
 
 
 def _batch_result(

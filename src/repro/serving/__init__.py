@@ -14,7 +14,6 @@ from repro.serving.arrivals import (
     mmpp_arrivals,
     poisson_arrivals,
 )
-from repro.serving.events import EventLoop
 from repro.serving.histograms import LatencyHistogram
 from repro.serving.service import (
     ServiceModel,
@@ -26,7 +25,6 @@ from repro.serving.service import (
 
 __all__ = [
     "ArrivalSpec",
-    "EventLoop",
     "LatencyHistogram",
     "ServiceModel",
     "ServingConfig",

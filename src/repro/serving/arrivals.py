@@ -17,7 +17,7 @@ from the spec — no global RNG state, no wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -29,10 +29,28 @@ __all__ = [
     "mmpp_arrivals",
     "constant_arrivals",
     "generate_arrivals",
+    "exponential_draws",
 ]
 
 #: Open-loop process names (closed-loop is driven by the server loop).
 OPEN_LOOP = ("poisson", "mmpp", "constant")
+
+#: Standard-exponential draws per :func:`exponential_draws` block.
+DRAW_BLOCK = 4096
+
+
+def exponential_draws(rng: np.random.Generator) -> Iterator[float]:
+    """``rng``'s standard-exponential stream, one float at a time.
+
+    Draws come from ``rng.standard_exponential`` a block at a time, so a
+    draw costs a generator step instead of a NumPy call.  A Generator's
+    ``exponential(scale)`` is ``scale * standard_exponential()``, so
+    ``scale * next(draws)`` is bit-identical to the ``exponential(scale)``
+    call at the same stream position.  The generator reads ahead by up
+    to one block: ``rng`` must serve no other draws.
+    """
+    while True:
+        yield from rng.standard_exponential(DRAW_BLOCK).tolist()
 
 
 @dataclass(frozen=True)
@@ -146,27 +164,34 @@ def mmpp_arrivals(
     The process alternates exponential dwells in an ON state (Poisson
     at ``rate_on``) and an OFF state (``rate_off``, possibly 0); each
     interarrival is sampled by walking states until the next event
-    lands inside the current dwell.
+    lands inside the current dwell.  Every draw is a block draw scaled
+    by its mean (:func:`exponential_draws`): the same stream, value for
+    value, as one ``rng.exponential(mean)`` call per draw.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4D4D5050]))
-    times = np.empty(n, dtype=np.float64)
+    draw = exponential_draws(rng).__next__
+    gap_on = 1.0 / rate_on if rate_on > 0 else None
+    gap_off = 1.0 / rate_off if rate_off > 0 else None
+    times = []
+    append = times.append
     t = 0.0
     state_on = True
-    state_end = rng.exponential(mean_on)
-    for i in range(n):
+    state_end = mean_on * draw()
+    inf = float("inf")
+    for _ in range(n):
         while True:
-            rate = rate_on if state_on else rate_off
-            gap = rng.exponential(1.0 / rate) if rate > 0 else float("inf")
+            mean_gap = gap_on if state_on else gap_off
+            gap = mean_gap * draw() if mean_gap is not None else inf
             if t + gap <= state_end:
                 t += gap
-                times[i] = t
+                append(t)
                 break
             # Next event falls past this dwell: jump to the state switch
             # and resample (memorylessness makes this exact).
             t = state_end
             state_on = not state_on
-            state_end = t + rng.exponential(mean_on if state_on else mean_off)
-    return times
+            state_end = t + (mean_on if state_on else mean_off) * draw()
+    return np.array(times, dtype=np.float64)
 
 
 def generate_arrivals(spec: ArrivalSpec, n: int) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 The offline simulator answers *"what is the miss ratio"*;
 :func:`serve` answers *"what does a user feel at this offered load"*.
-Every policy plugs in unchanged.  When the cache stream is fixed
-before the loop starts (FIFO queue, no drops, no ETC sizes, no
-recorder or caller engine) and a :mod:`repro.core.fast` kernel covers
-the policy, one kernel pass precomputes every request's hit kind and
-service time; otherwise the loop steps the referee
-:class:`~repro.core.engine.Engine` once per started request.  With
-open-loop arrivals on the kernel path, a FIFO recurrence over arrays
-replaces the event loop too.  Every path gives the same result (the
-fast ones are bit-identical to the slow ones); the cache decision
+Every policy plugs in unchanged.  When a :mod:`repro.core.fast`
+kernel covers the policy (and no ETC sizes, recorder or caller engine
+ask for the referee), the cache runs on the kernel: with the cache
+stream fixed before the loop starts (FIFO queue, no drops) one kernel
+pass precomputes every request's hit kind and service time, and under
+SJF or drops the loop steps the kernel once per started request
+(:func:`repro.core.fast.stepper`).  Otherwise the loop steps the
+referee :class:`~repro.core.engine.Engine` once per started request.
+With open-loop arrivals on the precomputed path, a FIFO recurrence over
+arrays replaces the event loop too.  Every path gives the same result
+(the fast ones are bit-identical to the slow ones); the cache decision
 stream is exactly the offline one, and serving only adds *time*:
 
 * **Arrivals** (open-loop Poisson / bursty MMPP / constant, or a
@@ -25,8 +27,9 @@ stream is exactly the offline one, and serving only adds *time*:
   or shortest-expected-job-first queue, optional admission bound
   (``queue_limit``) and queue-wait ``timeout``.
 
-Determinism: simulated time comes from the seeded event heap
-(:mod:`repro.serving.events`) or its array form, and seeded NumPy
+Determinism: simulated time comes from the event heap in
+:func:`_run_loop` (same-time events pop in schedule order) or its
+array form, and seeded NumPy
 generators only — no wall clock anywhere — so a (policy, trace,
 config) triple maps to a bit-identical :class:`ServingResult`,
 including histogram payloads, which is what lets the campaign layer
@@ -51,11 +54,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.engine import Engine, check_same_mapping
-from repro.core.fast import KIND_MISS, fast_fallback_reason, fast_simulate
+from repro.core.fast import KIND_MISS, fast_fallback_reason, fast_simulate, stepper
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
-from repro.serving.arrivals import ArrivalSpec, generate_arrivals
-from repro.serving.events import EventLoop
+from repro.serving.arrivals import ArrivalSpec, exponential_draws, generate_arrivals
 from repro.serving.histograms import LatencyHistogram, ordered_sum
 from repro.telemetry import spans
 from repro.types import HitKind, SimResult
@@ -126,24 +128,6 @@ class ServiceModel:
             )
         if self.size_scale <= 0 or self.size_shape <= 0:
             raise ConfigurationError("size_scale and size_shape must be > 0")
-
-    def sample(
-        self, kind: HitKind, extra_weight: float, rng: np.random.Generator
-    ) -> float:
-        """Service time for one classified access.
-
-        ``extra_weight`` is the transfer weight of the items a miss
-        loaded beyond the requested one: their count,
-        ``max(0, loaded - 1)``, under fixed sizes, or their summed
-        :meth:`item_weights` under ETC sizes.  Hits ignore it.
-        """
-        if kind is HitKind.MISS:
-            mean = self.t_hit + self.t_miss + self.t_item * extra_weight
-        else:
-            mean = self.t_hit
-        if self.dist == "deterministic":
-            return mean
-        return float(rng.exponential(mean)) if mean > 0 else 0.0
 
     def item_weights(self, universe: int) -> Optional[np.ndarray]:
         """Per-item transfer weights (mean 1.0), or ``None`` for fixed.
@@ -450,37 +434,6 @@ class ServingResult:
         )
 
 
-class _ServeState:
-    """Mutable loop state (kept off the hot path's attribute lookups)."""
-
-    __slots__ = (
-        "queue",
-        "busy",
-        "n_system",
-        "last_t",
-        "area_system",
-        "area_busy",
-        "queue_peak",
-    )
-
-    def __init__(self) -> None:
-        self.queue: deque = deque()
-        self.busy = 0
-        self.n_system = 0
-        self.last_t = 0.0
-        self.area_system = 0.0
-        self.area_busy = 0.0
-        self.queue_peak = 0
-
-    def advance(self, now: float) -> None:
-        """Accumulate the Little's-law integrals up to ``now``."""
-        dt = now - self.last_t
-        if dt > 0:
-            self.area_system += self.n_system * dt
-            self.area_busy += self.busy * dt
-            self.last_t = now
-
-
 def serve(
     policy,
     trace: Trace,
@@ -509,34 +462,39 @@ def serve(
     :class:`~repro.core.engine.Engine` surface the loop touches —
     ``access(item)``, a live ``result`` :class:`SimResult`, and a
     ``resident`` membership view — works; this is how
-    :func:`repro.cluster.serving_bridge.serve_cluster` routes requests
-    across an N-shard cluster.  With ``engine`` given, ``policy`` is
-    ignored (pass ``None``) and the caller owns offline preparation.
+    :class:`repro.cluster.serving_bridge.ClusterEngine` serves as the
+    oracle for :func:`~repro.cluster.serving_bridge.serve_cluster`.
+    With ``engine`` given, ``policy`` is ignored (pass ``None``) and
+    the caller owns offline preparation.
 
-    Which path runs: when the cache stream is fixed before the loop
-    starts — FIFO queue, no ``queue_limit``, no ``timeout``,
-    ``size_dist="none"``, no ``recorder``, no ``engine`` — and a
-    :mod:`repro.core.fast` kernel covers the policy (cold, exact
-    class, equivalent mapping), one kernel pass precomputes every
-    request's hit kind and service time; ``sim`` is the kernel's
+    Which path runs: when a :mod:`repro.core.fast` kernel covers the
+    policy (cold, exact class, equivalent mapping) and neither a
+    ``recorder``, an ``engine`` nor ``size_dist="etc"`` asks for the
+    referee, the run is on the kernel.  With the FIFO queue and no
+    ``queue_limit`` or ``timeout`` the cache stream is fixed before
+    the loop starts, so one kernel pass precomputes every request's
+    hit kind and service time; under SJF or drops the kernel is
+    stepped once per started request (:func:`repro.core.fast.stepper`),
+    and SJF reads its residency probe.  ``sim`` is the kernel's
     :class:`SimResult`.  Everything else steps the referee ``Engine``
     once per started request.  As with ``simulate(fast=True)``,
     ``validate`` applies to the referee path only, and the kernel path
-    does not mutate ``policy``.  On the kernel path with open-loop
-    arrivals and no ``on_event``, start and finish times come from
-    arrays (:func:`_serve_arrays`) instead of the event loop, unless
-    an arrival coincides with a completion.  Every path gives the
-    same :meth:`ServingResult.fields` (``tests/test_serving_fast.py``).
+    does not mutate ``policy``.  On the precomputed kernel path with
+    open-loop arrivals and no ``on_event``, start and finish times come
+    from arrays (:func:`_serve_arrays`) instead of the event loop,
+    unless an arrival coincides with a completion.  Every path gives
+    the same :meth:`ServingResult.fields` (``tests/test_serving_fast.py``,
+    ``tests/test_serving_golden.py``).
 
     The ``serve`` span records both choices: ``path="kernel"|"referee"``
     with the referee's ``fallback_reason`` (``"engine"``,
-    ``"observed"``, ``"sjf"``, ``"drops"``, ``"etc-sizes"``, or a
+    ``"observed"``, ``"etc-sizes"``, or a
     :func:`~repro.core.fast.fast_fallback_reason` value), and
     ``loop="array"|"events"`` with the event loop's ``loop_reason``
-    (``"on_event"``, ``"closed-loop"``, ``"tie"``, or the referee's
-    reason).  To force the referee and the loop, pass
-    ``engine=Engine(policy, trace.mapping)``; to force only the loop,
-    pass any ``on_event``.
+    (``"sjf"``, ``"drops"``, ``"on_event"``, ``"closed-loop"``,
+    ``"tie"``, or the referee's reason).  To force the referee and the
+    loop, pass ``engine=Engine(policy, trace.mapping)``; to force only
+    the loop, pass any ``on_event``.
 
     Returns a :class:`ServingResult`; the run always drains (every
     admitted request completes or is dropped before the loop ends).
@@ -545,7 +503,73 @@ def serve(
     if engine is None:
         check_same_mapping(policy, trace)
     reason = _referee_reason(policy, trace, config, engine, recorder)
-    loop_reason = reason or _loop_reason(config, on_event)
+    if reason is None:
+        return _serve(
+            trace,
+            config,
+            None,
+            lambda: _kernel_replay(policy, trace),
+            lambda: stepper(policy, trace),
+            on_access,
+            on_event,
+        )
+
+    def open_engine():
+        if engine is not None:
+            return engine
+        if policy.is_offline:
+            policy.prepare(trace)
+        return Engine(policy, trace.mapping, validate=validate, recorder=recorder)
+
+    return _serve(
+        trace, config, reason, None, open_engine, on_access, on_event, recorder
+    )
+
+
+#: Kernel outcome code → :class:`HitKind` (indexed by ``KIND_*``).
+_CODE_KINDS: Tuple[HitKind, ...] = (
+    HitKind.MISS,
+    HitKind.TEMPORAL_HIT,
+    HitKind.SPATIAL_HIT,
+)
+
+#: :class:`HitKind` → kernel outcome code.
+_KIND_CODES: Dict[HitKind, int] = {kind: code for code, kind in enumerate(_CODE_KINDS)}
+
+#: ``step(index) -> (code, service_time)``: the cache access of request
+#: ``index`` (a ``KIND_*`` code) and its sampled service time, called
+#: once per started request, in start order.
+_Step = Callable[[int], Tuple[int, float]]
+
+#: Requests per step of the array form's Python-level passes: bounds
+#: the temporaries (lists, masks, merged times) to a few chunks.  The
+#: event loop flushes its buffered waits and sojourns at this size too.
+_CHUNK = 8192
+
+
+def _serve(
+    trace: Trace,
+    config: ServingConfig,
+    reason: Optional[str],
+    replay: Optional[Callable[[], Tuple[SimResult, List[int], List[int]]]],
+    open_cache: Callable[[], Any],
+    on_access: Optional[Callable[[int, int, HitKind], None]],
+    on_event: Optional[Callable[[str, float, int], None]],
+    recorder=None,
+) -> ServingResult:
+    """The serving run behind :func:`serve` and ``serve_cluster``.
+
+    ``reason`` is ``None`` on the kernel path, or why the referee runs.
+    On the kernel path with a fixed cache stream, ``replay()`` returns
+    ``(sim, codes, loads)`` for the whole trace in trace order (one
+    ``KIND_*`` code per access, one load-set size per miss); otherwise
+    ``open_cache()`` returns what the loop steps: a
+    :class:`~repro.core.fast.Stepper`-shaped cache (``step``,
+    ``contains``, ``result(trace)``) on the kernel path, or a referee
+    engine.
+    """
+    stream_reason = _stream_reason(config)
+    loop_reason = reason or stream_reason or _loop_reason(config, on_event)
     n = len(trace)
     model = config.service
     service_rng = np.random.default_rng(
@@ -570,19 +594,19 @@ def serve(
         path="kernel" if reason is None else "referee",
         fallback_reason=reason,
     ) as sp:
-        if reason is None:
-            sim, codes, service = _kernel_pass(policy, trace, model, service_rng)
+        cache = sim = None
+        if reason is None and stream_reason is None:
+            assert replay is not None
+            sim, record, loads = replay()
+            codes, service = _price(record, loads, model, service_rng)
+            del record, loads
         else:
-            if engine is None:
-                if policy.is_offline:
-                    policy.prepare(trace)
-                engine = Engine(
-                    policy, trace.mapping, validate=validate, recorder=recorder
-                )
-            engine.result.metadata.update(trace.scalar_metadata())
-            sim = engine.result
+            cache = open_cache()
+            if reason is not None:
+                cache.result.metadata.update(trace.scalar_metadata())
+                sim = cache.result
         result = ServingResult(
-            sim=sim,
+            sim=sim,  # a stepped kernel's is known after the loop
             serving=config.as_dict(),
             latency=config.new_histogram(),
             latency_by_kind={
@@ -601,83 +625,80 @@ def serve(
                 loop_reason = "tie"
             if loop_reason is not None:
                 items: List[int] = trace.items.tolist()
-                if reason is None:
-                    kinds, step = _kernel_step(codes, service)
-                    resident = None
+                contains = None
+                if cache is None:
+                    code_list: List[int] = codes.tolist()
+                    step = _table_step(code_list, service)
                 else:
-                    kinds = [None] * n
-                    step = _referee_step(
-                        engine,
-                        items,
-                        model,
-                        model.item_weights(trace.mapping.universe),
-                        service_rng,
-                    )
-                    resident = engine.resident
+                    code_list = [KIND_MISS] * n
+                    if reason is None:
+                        step = _kernel_step(cache.step, model, service_rng)
+                        contains = cache.contains
+                    else:
+                        step = _referee_step(
+                            cache,
+                            items,
+                            model,
+                            model.item_weights(trace.mapping.universe),
+                            service_rng,
+                        )
+                        contains = cache.resident.__contains__
                 _run_loop(
                     result,
                     config,
                     step,
-                    resident,
+                    contains,
                     items,
-                    kinds,
+                    code_list,
                     _sample_think,
                     None if arrivals is None else arrivals.tolist(),
                     on_access,
                     on_event,
                 )
+        if result.sim is None:
+            result.sim = cache.result(trace)
         if sp is not None:
-            sp.set("policy", sim.policy)
+            sp.set("policy", result.sim.policy)
             sp.set("loop", "events" if loop_reason else "array")
             sp.set("loop_reason", loop_reason)
     if recorder is not None:
-        recorder.finalize(sim)
+        recorder.finalize(result.sim)
     return result
-
-
-#: Kernel outcome code → :class:`HitKind` (indexed by ``KIND_*``).
-_CODE_KINDS: Tuple[HitKind, ...] = (
-    HitKind.MISS,
-    HitKind.TEMPORAL_HIT,
-    HitKind.SPATIAL_HIT,
-)
-
-#: ``step(index) -> (kind, service_time)``: the cache access of request
-#: ``index`` and its sampled service time, called once per started
-#: request, in start order.
-_Step = Callable[[int], Tuple[HitKind, float]]
-
-#: Requests per step of the array form's Python-level passes: bounds
-#: the temporaries (lists, masks, merged times) to a few chunks.
-_CHUNK = 8192
 
 
 def _referee_reason(
     policy, trace: Trace, config: ServingConfig, engine, recorder
 ) -> Optional[str]:
-    """Why :func:`serve` steps the referee, or ``None`` for the kernel.
+    """Why :func:`serve` steps the referee, or ``None`` for a kernel.
 
-    The kernel path needs the cache stream fixed before the loop runs:
-    SJF reads live residency, drops skip accesses, ETC sizes weigh the
-    exact load set, and a recorder or a caller's engine observe the
-    referee itself.
+    A recorder or a caller's engine observe the referee itself, and ETC
+    sizes weigh the exact load set, which kernels do not emit.
     """
     if engine is not None:
         return "engine"
     if recorder is not None:
         return "observed"
-    if config.queue == "sjf":
-        return "sjf"
-    if config.queue_limit is not None or config.timeout is not None:
-        return "drops"
     if config.service.size_dist != "none":
         return "etc-sizes"
     return fast_fallback_reason(policy, trace)
 
 
+def _stream_reason(config: ServingConfig) -> Optional[str]:
+    """Why the cache stream depends on service times, or ``None``.
+
+    SJF reads live residency and drops skip accesses, so no single pass
+    before the loop covers them: the loop steps the cache per start.
+    """
+    if config.queue == "sjf":
+        return "sjf"
+    if config.queue_limit is not None or config.timeout is not None:
+        return "drops"
+    return None
+
+
 def _loop_reason(config: ServingConfig, on_event) -> Optional[str]:
-    """Why a kernel-path run steps the event loop, or ``None`` for the
-    array form (which can still fall back on a time ``"tie"``).
+    """Why a fixed-stream kernel run steps the event loop, or ``None``
+    for the array form (which can still fall back on a time ``"tie"``).
 
     The array form needs every arrival time before the run starts and
     emits no events.
@@ -689,54 +710,53 @@ def _loop_reason(config: ServingConfig, on_event) -> Optional[str]:
     return None
 
 
-def _kernel_pass(
-    policy, trace: Trace, model: ServiceModel, service_rng: np.random.Generator
-) -> Tuple[SimResult, np.ndarray, np.ndarray]:
-    """One kernel pass: every request's outcome code and service time.
+def _kernel_replay(policy, trace: Trace) -> Tuple[SimResult, List[int], List[int]]:
+    """One kernel pass: the run's outcome codes and per-miss load sizes.
 
     FIFO with no drops starts requests in trace order, so the kernel's
-    access stream is the stream the referee would see, and drawing
-    service times in trace order draws them in start order.  The
-    deterministic model is vectorised with :meth:`ServiceModel.sample`'s
-    own arithmetic; exponential draws call it once per request.
+    access stream is the stream the referee would see.
     """
     record: List[int] = []
     loads: List[int] = []
     sim = fast_simulate(policy, trace, record=record, loads=loads)
     assert sim is not None  # _referee_reason vetted the kernel
+    return sim, record, loads
+
+
+def _price(
+    record: List[int],
+    loads: List[int],
+    model: ServiceModel,
+    service_rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every request's outcome code and service time, vectorised.
+
+    Means use :func:`_pricer`'s arithmetic; exponential times scale one
+    block of standard-exponential draws, taken in trace (start) order by
+    the requests whose mean is positive — the stream
+    :func:`~repro.serving.arrivals.exponential_draws` hands the loop.
+    """
     codes = np.array(record, dtype=np.int8)
-    del record
     miss = codes == KIND_MISS
     extra = np.zeros(codes.size, dtype=np.int64)
     extra[miss] = np.maximum(np.array(loads, dtype=np.int64) - 1, 0)
-    if model.dist == "deterministic":
-        service = np.where(
-            miss, model.t_hit + model.t_miss + model.t_item * extra, model.t_hit
-        ).astype(np.float64)
-    else:
-        sample = model.sample
-        service = np.fromiter(
-            (
-                sample(_CODE_KINDS[code], weight, service_rng)
-                for code, weight in zip(codes.tolist(), extra.tolist())
-            ),
-            dtype=np.float64,
-            count=codes.size,
-        )
-    return sim, codes, service
+    service = np.where(
+        miss, model.t_hit + model.t_miss + model.t_item * extra, model.t_hit
+    ).astype(np.float64)
+    if model.dist == "exponential":
+        drawn = service > 0
+        service[drawn] *= service_rng.standard_exponential(int(drawn.sum()))
+    return codes, service
 
 
-def _kernel_step(
-    codes: np.ndarray, service: np.ndarray
-) -> Tuple[List[Optional[HitKind]], _Step]:
-    """The event loop's view of a kernel pass: kinds and a step."""
-    kinds: List[Optional[HitKind]] = [_CODE_KINDS[code] for code in codes.tolist()]
+def _table_step(codes: List[int], service: np.ndarray) -> _Step:
+    """The event loop's view of a precomputed kernel pass."""
     times = memoryview(service)  # indexes to Python floats, no copy
 
-    def step(index: int) -> Tuple[HitKind, float]:
-        return kinds[index], times[index]
+    def step(index: int) -> Tuple[int, float]:
+        return codes[index], times[index]
 
-    return kinds, step
+    return step
 
 
 def _serve_arrays(
@@ -869,6 +889,53 @@ def _areas(
     return area_system, area_busy
 
 
+def _pricer(
+    model: ServiceModel, service_rng: np.random.Generator
+) -> Callable[[int, float], float]:
+    """``price(code, extra_weight)``: one started request's service time.
+
+    A hit's mean is ``t_hit``; a miss's is ``t_hit + t_miss + t_item *
+    extra_weight``, where ``extra_weight`` is the transfer weight of the
+    items it loaded beyond the requested one: their count,
+    ``max(0, loaded - 1)``, under fixed sizes, or their summed
+    :meth:`ServiceModel.item_weights` under ETC sizes.  Exponential
+    times scale :func:`~repro.serving.arrivals.exponential_draws`
+    block draws — ``mean * draw`` is ``rng.exponential(mean)`` bit for
+    bit — and zero-mean requests draw nothing.
+    """
+    t_hit = model.t_hit
+    miss_base = model.t_hit + model.t_miss  # summed left to right, as _price does
+    t_item = model.t_item
+    draw = (
+        exponential_draws(service_rng).__next__
+        if model.dist == "exponential"
+        else None
+    )
+
+    def price(code: int, extra: float) -> float:
+        mean = miss_base + t_item * extra if code == KIND_MISS else t_hit
+        if draw is None:
+            return mean
+        return mean * draw() if mean > 0 else 0.0
+
+    return price
+
+
+def _kernel_step(
+    cache_step: Callable[[int], Tuple[int, int]],
+    model: ServiceModel,
+    service_rng: np.random.Generator,
+) -> _Step:
+    """Step a kernel once per started request and price the access."""
+    price = _pricer(model, service_rng)
+
+    def step(index: int) -> Tuple[int, float]:
+        code, load = cache_step(index)
+        return code, price(code, load - 1 if load > 1 else 0)
+
+    return step
+
+
 def _referee_step(
     engine,
     items: List[int],
@@ -877,23 +944,24 @@ def _referee_step(
     service_rng: np.random.Generator,
 ) -> _Step:
     """Step the referee engine once per started request."""
+    price = _pricer(model, service_rng)
 
-    def step(index: int) -> Tuple[HitKind, float]:
+    def step(index: int) -> Tuple[int, float]:
         loaded_before = engine.result.loaded_items
-        kind = engine.access(items[index])
+        code = _KIND_CODES[engine.access(items[index])]
         if item_weights is None:
             loaded = engine.result.loaded_items - loaded_before
-            return kind, model.sample(kind, max(0, loaded - 1), service_rng)
+            return code, price(code, max(0, loaded - 1))
         # Size-aware transfer cost: weigh each side-loaded item by its
         # (normalized) value size instead of counting it as 1.
         extra = 0.0
         outcome = engine.last_outcome
-        if kind is HitKind.MISS and outcome is not None:
+        if code == KIND_MISS and outcome is not None:
             requested = items[index]
             for loaded_item in outcome.loaded:
                 if loaded_item != requested:
                     extra += float(item_weights[loaded_item])
-        return kind, model.sample(kind, extra, service_rng)
+        return code, price(code, extra)
 
     return step
 
@@ -902,9 +970,9 @@ def _run_loop(
     result: ServingResult,
     config: ServingConfig,
     step: _Step,
-    resident,
+    contains: Optional[Callable[[int], bool]],
     items: List[int],
-    kinds: List[Optional[HitKind]],
+    codes: List[int],
     sample_think: Callable[[], float],
     open_times: Optional[List[float]],
     on_access: Optional[Callable[[int, int, HitKind], None]],
@@ -912,152 +980,186 @@ def _run_loop(
 ) -> None:
     """The event loop: every config, and the oracle for the array form.
 
-    ``resident`` is the referee's live residency view, read only by
-    the SJF queue (``None`` on the kernel path, which never runs SJF).
+    Events are ``(time, seq, payload)`` tuples on one heap, popped in
+    ``(time, seq)`` order, so same-time events keep the order they were
+    scheduled in and simulated time never decreases; scheduling an
+    arrival before the current time raises
+    :class:`~repro.errors.ConfigurationError`.  A completion's payload
+    is its request index; an arrival's is ``-1 - index`` (``-1`` in the
+    closed loop, which assigns the index when the arrival is handled).
+
+    ``contains(item)`` is the cache's live residency test, read only by
+    the SJF queue.  Each started request's code lands in ``codes``.
+    Waits and sojourns are buffered and flushed to the histograms with
+    :meth:`LatencyHistogram.record_many`, whose payload equals one
+    ``record`` per value.
     """
-    state = _ServeState()
-    loop = EventLoop()
     n = len(items)
-    arrival_time: List[float] = [0.0] * n
+    concurrency = config.concurrency
+    queue_limit = config.queue_limit
+    timeout = config.timeout
     closed = not config.arrival.open_loop
+    model = config.service
+    # SJF's key is (expected service, enqueue time, index), expected
+    # service being t_hit for a resident item and t_hit + t_miss
+    # otherwise.  The queue is in (enqueue time, index) order, so the
+    # minimum is the first resident entry, else the head — or always
+    # the head when both expectations are equal.
+    by_residency = config.queue == "sjf" and model.t_hit + model.t_miss > model.t_hit
+    heap: List[Tuple[float, int, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
+    queue: deque = deque()
+    arrival_time: List[float] = [0.0] * n
+    waits: List[float] = []
+    sojourns: List[float] = []
+    done_codes: List[int] = []
+    by_code = [result.latency_by_kind[KIND_KEYS[kind]] for kind in _CODE_KINDS]
+
+    def flush() -> None:
+        if waits:
+            result.wait.record_many(waits)
+            result.wait_sum = ordered_sum(result.wait_sum, waits)
+            waits.clear()
+        if sojourns:
+            values = np.array(sojourns)
+            result.latency.record_many(values)
+            result.sojourn_sum = ordered_sum(result.sojourn_sum, values)
+            kinds = np.array(done_codes, dtype=np.int8)
+            for code, hist in enumerate(by_code):
+                hist.record_many(values[kinds == code])
+            sojourns.clear()
+            done_codes.clear()
+
+    seq = 0
+    now = last_t = 0.0
+    area_system = area_busy = service_sum = 0.0
+    busy = n_system = queue_peak = 0
+    arrived = completed = dropped_admission = dropped_timeout = 0
     # Closed loop: clients are interchangeable consumers of "the next
     # workload request", so the trace cursor is assigned when an
-    # arrival is *processed*, not when it is scheduled — think-time
-    # randomness can reorder issue events, and assigning at processing
+    # arrival is *handled*, not when it is scheduled — think-time
+    # randomness can reorder issue events, and assigning at handling
     # time keeps cache accesses in trace order (the conformance
     # invariant) regardless.  ``issued`` counts scheduled arrivals so
     # exactly ``n`` ever enter the system.
-    cursor = 0
-    issued = 0
-    model = config.service
-
-    def start_service(index: int, wait: float) -> None:
-        state.busy += 1
-        kind, service_time = step(index)
-        kinds[index] = kind
-        if on_access is not None:
-            on_access(index, items[index], kind)
-        result.wait_sum += wait
-        result.wait.record(wait)
-        result.service_sum += service_time
-        if on_event is not None:
-            on_event("start", loop.now, index)
-        loop.schedule(loop.now + service_time, "done", index)
-
-    def expected_service(index: int) -> float:
-        # SJF key: peek shadow residency (read-only) for the likely kind.
-        if items[index] in resident:
-            return model.t_hit
-        return model.t_hit + model.t_miss
-
-    def next_from_queue() -> Tuple[int, float]:
-        if config.queue == "fifo":
-            return state.queue.popleft()
-        best_pos = 0
-        best_key: Optional[Tuple[float, float]] = None
-        for pos, (index, enq_t) in enumerate(state.queue):
-            key = (expected_service(index), enq_t, index)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pos = pos
-        index, enq_t = state.queue[best_pos]
-        del state.queue[best_pos]
-        return index, enq_t
-
-    def drain_queue() -> None:
-        while state.queue and state.busy < config.concurrency:
-            index, enq_t = next_from_queue()
-            wait = loop.now - enq_t
-            if config.timeout is not None and wait > config.timeout:
-                result.dropped_timeout += 1
-                state.n_system -= 1
-                if on_event is not None:
-                    on_event("drop_timeout", loop.now, index)
-                continue
-            start_service(index, wait)
-
-    def issue_closed_arrival() -> None:
-        nonlocal issued
-        if issued < n:
-            issued += 1
-            loop.schedule(loop.now + sample_think(), "arr", None)
-
-    def handle_arrival(payload: Optional[int]) -> None:
-        nonlocal cursor
-        state.advance(loop.now)
-        if closed:
-            index = cursor
-            cursor += 1
-        else:
-            assert payload is not None
-            index = payload
-        arrival_time[index] = loop.now
-        result.arrivals += 1
-        if on_event is not None:
-            on_event("arrival", loop.now, index)
-        # Next arrival is scheduled lazily: keeps the heap O(in-flight).
-        if not closed and index + 1 < n:
-            assert open_times is not None
-            loop.schedule(open_times[index + 1], "arr", index + 1)
-        if (
-            config.queue_limit is not None
-            and state.busy >= config.concurrency
-            and len(state.queue) >= config.queue_limit
-        ):
-            result.dropped_admission += 1
-            if on_event is not None:
-                on_event("drop_admission", loop.now, index)
-            if closed:
-                issue_closed_arrival()
-            return
-        state.n_system += 1
-        if state.busy < config.concurrency:
-            start_service(index, 0.0)
-        else:
-            state.queue.append((index, loop.now))
-            if len(state.queue) > state.queue_peak:
-                state.queue_peak = len(state.queue)
-
-    def handle_done(index: int) -> None:
-        state.advance(loop.now)
-        state.busy -= 1
-        state.n_system -= 1
-        result.completions += 1
-        sojourn = loop.now - arrival_time[index]
-        result.sojourn_sum += sojourn
-        result.latency.record(sojourn)
-        kind = kinds[index]
-        assert kind is not None
-        result.latency_by_kind[KIND_KEYS[kind]].record(sojourn)
-        if on_event is not None:
-            on_event("done", loop.now, index)
-        drain_queue()
-        if closed:
-            issue_closed_arrival()
-
-    # Seed the loop.
+    cursor = issued = 0
     if n:
         if closed:
             for _ in range(min(config.arrival.clients, n)):
+                push(heap, (sample_think(), seq, -1))
+                seq += 1
                 issued += 1
-                loop.schedule(sample_think(), "arr", None)
         else:
             assert open_times is not None
-            loop.schedule(open_times[0], "arr", 0)
+            _check_arrival(0, open_times[0], now)
+            push(heap, (open_times[0], seq, -1))
+            seq += 1
 
-    while True:
-        event = loop.pop()
-        if event is None:
-            break
-        _, tag, payload = event
-        if tag == "arr":
-            handle_arrival(payload)
+    while heap:
+        now, _, payload = pop(heap)
+        dt = now - last_t
+        if dt > 0:  # Little's-law integrals up to now
+            area_system += n_system * dt
+            area_busy += busy * dt
+            last_t = now
+        if payload < 0:
+            if closed:
+                index = cursor
+                cursor += 1
+            else:
+                index = -1 - payload
+            arrival_time[index] = now
+            arrived += 1
+            if on_event is not None:
+                on_event("arrival", now, index)
+            # Next arrival is scheduled lazily: keeps the heap O(in-flight).
+            if not closed and index + 1 < n:
+                at = open_times[index + 1]  # type: ignore[index]
+                if at < now:
+                    _check_arrival(index + 1, at, now)
+                push(heap, (at, seq, -2 - index))
+                seq += 1
+            if (
+                queue_limit is not None
+                and busy >= concurrency
+                and len(queue) >= queue_limit
+            ):
+                dropped_admission += 1
+                if on_event is not None:
+                    on_event("drop_admission", now, index)
+                if closed and issued < n:
+                    issued += 1
+                    push(heap, (now + sample_think(), seq, -1))
+                    seq += 1
+                continue
+            n_system += 1
+            # An idle server takes the request at once (through the
+            # queue, which is empty whenever a server is idle).
+            queue.append((index, now))
+            if busy >= concurrency and len(queue) > queue_peak:
+                queue_peak = len(queue)
         else:
-            handle_done(payload)
-    result.duration = state.last_t
-    result.area_in_system = state.area_system
-    result.area_busy = state.area_busy
-    result.queue_peak = state.queue_peak
+            busy -= 1
+            n_system -= 1
+            completed += 1
+            sojourns.append(now - arrival_time[payload])
+            done_codes.append(codes[payload])
+            if on_event is not None:
+                on_event("done", now, payload)
+        while queue and busy < concurrency:
+            if by_residency and len(queue) > 1:
+                for pos, (index, _) in enumerate(queue):
+                    if contains(items[index]):  # type: ignore[misc]
+                        break
+                else:
+                    pos = 0
+                index, enqueued = queue[pos]
+                del queue[pos]
+            else:
+                index, enqueued = queue.popleft()
+            wait = now - enqueued
+            if timeout is not None and wait > timeout:
+                dropped_timeout += 1
+                n_system -= 1
+                if on_event is not None:
+                    on_event("drop_timeout", now, index)
+                continue
+            busy += 1
+            code, service_time = step(index)
+            codes[index] = code
+            if on_access is not None:
+                on_access(index, items[index], _CODE_KINDS[code])
+            waits.append(wait)
+            service_sum += service_time
+            if on_event is not None:
+                on_event("start", now, index)
+            push(heap, (now + service_time, seq, index))
+            seq += 1
+        if payload >= 0:
+            if closed and issued < n:
+                issued += 1
+                push(heap, (now + sample_think(), seq, -1))
+                seq += 1
+            if len(sojourns) >= _CHUNK:
+                flush()
+    flush()
+    result.arrivals = arrived
+    result.completions = completed
+    result.dropped_admission = dropped_admission
+    result.dropped_timeout = dropped_timeout
+    result.service_sum = service_sum
+    result.duration = last_t
+    result.area_in_system = area_system
+    result.area_busy = area_busy
+    result.queue_peak = queue_peak
+
+
+def _check_arrival(index: int, at: float, now: float) -> None:
+    """Refuse to schedule arrival ``index`` into the simulated past."""
+    if at < now:
+        raise ConfigurationError(
+            f"cannot schedule arrival {index} at t={at} before now={now}"
+        )
 
 
 def serve_policy(

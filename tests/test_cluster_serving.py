@@ -3,11 +3,16 @@
 ``serve_cluster`` must collapse to single-cache ``serve`` exactly at
 ``n_shards=1`` — full :meth:`ServingResult.fields` payloads, latency
 histograms included — because the serving loop is reused verbatim and
-only the engine behind it changes.  Multi-shard runs must still serve
-every arrival exactly once under both hash schemes and both queue
-disciplines, with the scheme's effect confined to the cache taxonomy.
+only the cache behind it changes.  Its per-shard kernel steppers must
+match the referee oracle, ``serve(engine=ClusterEngine(...))``, field
+for field without one ``Engine.access`` call.  Multi-shard runs must
+still serve every arrival exactly once under both hash schemes and both
+queue disciplines, with the scheme's effect confined to the cache
+taxonomy.
 """
 
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -15,9 +20,17 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.cluster.serving_bridge import ClusterEngine, serve_cluster
+from repro.core.engine import Engine
 from repro.core.mapping import FixedBlockMapping
 from repro.core.trace import Trace
-from repro.serving import ArrivalSpec, ServiceModel, ServingConfig, serve_policy
+from repro.serving import (
+    ArrivalSpec,
+    ServiceModel,
+    ServingConfig,
+    serve,
+    serve_policy,
+)
+from repro.telemetry import spans
 from repro.workloads import markov_spatial
 
 CAPACITY = 128
@@ -140,3 +153,80 @@ def test_items_outside_the_trace_are_never_resident():
     absent = int(np.setdiff1d(np.arange(64), tr.items)[0])
     assert absent not in engine.resident
     assert tr.items[199] in engine.resident
+
+
+@pytest.fixture
+def access_calls(monkeypatch):
+    """Count every referee ``Engine.access`` and ``ClusterEngine.access``."""
+    calls = {"engine": 0, "cluster": 0}
+    for owner, key in ((Engine, "engine"), (ClusterEngine, "cluster")):
+        real = owner.access
+
+        def spy(self, item, real=real, key=key):
+            calls[key] += 1
+            return real(self, item)
+
+        monkeypatch.setattr(owner, "access", spy)
+    return calls
+
+
+@pytest.mark.parametrize("policy", ["iblp", "item-lru", "gcm", "iblp-adaptive"])
+@pytest.mark.parametrize(
+    "stream",
+    [
+        {},
+        {"queue": "sjf"},
+        {"queue": "sjf", "queue_limit": 2, "timeout": 40.0},
+        {"arrival": ArrivalSpec(process="closed", clients=5, think=10.0, seed=1)},
+    ],
+)
+@pytest.mark.parametrize("shards, scheme", [(1, "block"), (4, "block"), (4, "item")])
+def test_kernel_shards_match_cluster_engine_oracle(
+    access_calls, policy, stream, shards, scheme
+):
+    tr = trace()
+    spec = ClusterSpec(n_shards=shards, scheme=scheme)
+    cfg = dataclasses.replace(
+        config(rate=0.06),
+        service=ServiceModel(t_hit=1.0, t_miss=50.0, t_item=1.0, dist="exponential", seed=3),
+        **stream,
+    )
+    fast_seen, oracle_seen = [], []
+    fast = serve_cluster(
+        policy, CAPACITY, tr, spec, cfg, on_access=lambda *a: fast_seen.append(a)
+    )
+    assert access_calls == {"engine": 0, "cluster": 0}
+    oracle = serve(
+        None,
+        tr,
+        cfg,
+        engine=ClusterEngine(policy, CAPACITY, tr, spec),
+        on_access=lambda *a: oracle_seen.append(a),
+    )
+    assert access_calls["cluster"] == oracle.sim.accesses > 0
+    assert fast.fields() == oracle.fields()
+    assert fast_seen == oracle_seen
+
+
+@pytest.mark.parametrize(
+    "policy, service, path, reason",
+    [
+        ("iblp", ServiceModel(), "kernel", None),
+        ("iblp", ServiceModel(size_dist="etc"), "referee", "etc-sizes"),
+        ("belady-item", ServiceModel(), "referee", "unsupported-policy"),
+    ],
+)
+def test_cluster_serve_span_names_the_path(tmp_path, policy, service, path, reason):
+    tr = trace()
+    # FIFO: an offline policy cannot replay a reordered stream.
+    cfg = dataclasses.replace(config(), service=service)
+    out = tmp_path / "spans.jsonl"
+    spans.enable(out)
+    try:
+        result = serve_cluster(policy, CAPACITY, tr, ClusterSpec(n_shards=4), cfg)
+    finally:
+        spans.disable()
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    (attrs,) = [r["attrs"] for r in records if r.get("name") == "cluster.serve"]
+    assert (attrs["path"], attrs["fallback_reason"]) == (path, reason)
+    assert result.completions == len(tr)

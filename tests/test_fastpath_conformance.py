@@ -25,6 +25,7 @@ from repro.core.conformance import (
     KIND_CODE,
     assert_conformant,
     assert_loads_conformant,
+    assert_step_conformant,
     check_conformance,
     conformance_suite,
     fast_outcomes,
@@ -35,6 +36,7 @@ from repro.core.fast import (
     FAST_POLICY_NAMES,
     compile_trace,
     fast_simulate,
+    stepper,
     supports,
 )
 from repro.core.mapping import ExplicitBlockMapping, FixedBlockMapping
@@ -426,3 +428,35 @@ def test_adaptive_iblp_layer_sets_conform(trace, capacity, fraction):
     kwargs = {"initial_item_fraction": fraction}
     assert_conformant("iblp-adaptive", capacity, trace, **kwargs)
     assert_loads_conformant("iblp-adaptive", capacity, trace, **kwargs)
+
+
+# -- stepped kernels (mode="step") --------------------------------------------
+#
+# Serving steps a kernel once per started request, in start order, which
+# SJF reorders and drops thin out.  Every kernel, stepped over random
+# subsets and permutations of hypothesis traces, must match the referee
+# access for access, its residency probe included.
+
+
+@pytest.mark.parametrize("name", FAST_POLICY_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(trace=_ragged_traces(), capacity=st.integers(1, 12), data=st.data())
+def test_stepped_kernels_conform_in_any_order(name, trace, capacity, data):
+    positions = data.draw(
+        st.lists(st.integers(0, max(len(trace) - 1, 0)), max_size=len(trace)),
+        label="served positions",
+    ) if len(trace) else []
+    assert_step_conformant(name, capacity, trace, positions)
+
+
+@pytest.mark.parametrize("name", FAST_POLICY_NAMES)
+def test_stepped_kernels_conform_in_trace_order(name, randomized_traces):
+    assert_step_conformant(name, 16, randomized_traces["markov_b8"])
+
+
+def test_stepper_falls_back_like_fast_simulate():
+    trace = _trace([0, 1, 2], universe=8, B=4)
+    assert stepper(make_policy("belady-item", 2, trace.mapping), trace) is None
+    warm = make_policy("item-lru", 2, trace.mapping)
+    simulate(warm, trace)
+    assert stepper(warm, trace) is None

@@ -3,8 +3,9 @@
 Under the FIFO queue with no drops, :func:`repro.serving.serve` runs one
 fast-kernel pass up front instead of stepping the referee, and with
 open-loop arrivals it computes start and finish times from arrays
-instead of stepping the event loop.  Each slow path stays reachable and
-is the oracle for the fast one:
+instead of stepping the event loop.  Under SJF or drops it steps the
+kernel once per started request instead of the referee.  Each slow path
+stays reachable and is the oracle for the fast one:
 
 * ``engine=Engine(policy, mapping)`` forces the referee, which steps
   ``Engine.access`` once per started request;
@@ -16,6 +17,7 @@ default path really skips the slow one, and that the ``serve`` span
 names the path taken.
 """
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -78,9 +80,6 @@ def test_kernel_path_fields_match_referee(name, service_dist, trace, access_call
     assert fast.fields() == referee.fields()
 
 
-# -- array form vs event loop ------------------------------------------------
-
-
 def traced_serve(tmp_path, *args, **kwargs):
     """``serve()`` with spans on: the result and the ``serve`` span's attrs."""
     path = tmp_path / "spans.jsonl"
@@ -92,6 +91,48 @@ def traced_serve(tmp_path, *args, **kwargs):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     (attrs,) = [r["attrs"] for r in records if r.get("name") == "serve"]
     return result, attrs
+
+
+@pytest.mark.parametrize(
+    "stream, loop_reason",
+    [
+        ({"queue": "sjf"}, "sjf"),
+        ({"queue_limit": 2}, "drops"),
+        ({"timeout": 30.0}, "drops"),
+        ({"queue": "sjf", "queue_limit": 3, "timeout": 60.0}, "sjf"),
+    ],
+)
+@pytest.mark.parametrize("dist", ["deterministic", "exponential"])
+@pytest.mark.parametrize("name", POLICIES + ("iblp-adaptive", "item-clock"))
+def test_stepped_kernel_path_matches_referee(
+    tmp_path, trace, access_calls, name, dist, stream, loop_reason
+):
+    config = dataclasses.replace(queued_config("mmpp", 2, dist), **stream)
+    fast_seen, referee_seen = [], []
+    fast, attrs = traced_serve(
+        tmp_path,
+        make_policy(name, CAPACITY, trace.mapping),
+        trace,
+        config,
+        on_access=lambda *access: fast_seen.append(access),
+    )
+    assert access_calls[0] == 0
+    assert (attrs["path"], attrs["fallback_reason"]) == ("kernel", None)
+    assert (attrs["loop"], attrs["loop_reason"]) == ("events", loop_reason)
+    referee = serve(
+        None,
+        trace,
+        config,
+        engine=Engine(make_policy(name, CAPACITY, trace.mapping), trace.mapping),
+        on_access=lambda *access: referee_seen.append(access),
+    )
+    assert access_calls[0] == referee.sim.accesses > 0
+    assert fast.fields() == referee.fields()
+    assert fast_seen == referee_seen
+    assert fast.dropped or config.queue == "sjf"
+
+
+# -- array form vs event loop ------------------------------------------------
 
 
 def both_forms(tmp_path, name, trace, config):

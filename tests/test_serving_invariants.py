@@ -3,7 +3,8 @@
 Four laws pin the discrete-event core:
 
 * **Monotone time** — popped event timestamps never decrease, ties
-  resolve in insertion order, and scheduling into the past raises.
+  resolve in schedule order, and scheduling an arrival into the past
+  raises (all observed through ``serve(on_event=...)``).
 * **Conservation** — after the loop drains, every arrival is accounted
   for: ``arrivals = completions + dropped`` (nothing in flight), and
   only non-dropped requests touched the cache.
@@ -19,14 +20,16 @@ Four laws pin the discrete-event core:
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.mapping import FixedBlockMapping
+from repro.core.trace import Trace
 from repro.errors import ConfigurationError
 from repro.serving import (
     ArrivalSpec,
-    EventLoop,
     ServiceModel,
     ServingConfig,
     serve_policy,
@@ -39,47 +42,130 @@ def make_trace(length=400, universe=64, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Event heap
+# Event heap, observed through serve(on_event=...)
 # ---------------------------------------------------------------------------
-class TestEventLoop:
+def _events(trace, config, arrivals=None, monkeypatch=None, **kwargs):
+    """Every ``(name, time, index)`` event of one ``serve`` run; with
+    ``arrivals``, those times replace the generated ones."""
+    from repro.policies import make_policy
+    from repro.serving import serve
+
+    if arrivals is not None:
+        monkeypatch.setattr(
+            "repro.serving.service.generate_arrivals",
+            lambda spec, n: np.asarray(arrivals, dtype=np.float64),
+        )
+    events = []
+    serve(
+        make_policy("item-lru", 16, trace.mapping),
+        trace,
+        config,
+        on_event=lambda *event: events.append(event),
+        **kwargs,
+    )
+    return events
+
+
+def _blocks_trace(n):
+    """``n`` accesses to distinct blocks of 8: every access misses."""
+    return Trace(np.arange(n, dtype=np.int64) * 8, FixedBlockMapping(8 * n, 8))
+
+
+class TestEventOrder:
     @given(
-        st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=60)
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=60,
+        ),
+        st.sampled_from(["fifo", "sjf"]),
     )
     @settings(max_examples=50, deadline=None)
-    def test_pops_in_monotone_time_order(self, times):
-        loop = EventLoop()
-        for i, t in enumerate(times):
-            loop.schedule(t, "e", i)
-        popped = []
-        while True:
-            event = loop.pop()
-            if event is None:
-                break
-            popped.append(event)
-        assert len(popped) == len(times)
-        assert [t for t, _, _ in popped] == sorted(times)
-        assert loop.processed == len(times)
+    def test_popped_times_never_decrease(self, times, queue):
+        times = sorted(times)
+        with pytest.MonkeyPatch.context() as mp:
+            events = _events(
+                make_trace(length=len(times)),
+                ServingConfig(
+                    service=ServiceModel(t_hit=1.0, t_miss=50.0),
+                    concurrency=2,
+                    queue=queue,
+                ),
+                times,
+                mp,
+            )
+        popped = [t for _, t, _ in events]
+        assert popped == sorted(popped)
+        assert [(t, i) for name, t, i in events if name == "arrival"] == list(
+            zip(times, range(len(times)))
+        )
 
     @given(st.integers(min_value=2, max_value=30))
     @settings(max_examples=20, deadline=None)
-    def test_ties_break_in_insertion_order(self, n):
-        loop = EventLoop()
-        for i in range(n):
-            loop.schedule(5.0, "e", i)
-        payloads = []
-        while True:
-            event = loop.pop()
-            if event is None:
-                break
-            payloads.append(event[2])
-        assert payloads == list(range(n))
+    def test_same_time_arrivals_keep_schedule_order(self, n):
+        with pytest.MonkeyPatch.context() as mp:
+            events = _events(
+                _blocks_trace(n), ServingConfig(), [5.0] * n, mp
+            )
+        assert [i for name, _, i in events if name == "arrival"] == list(range(n))
+        assert [i for name, _, i in events if name == "start"] == list(range(n))
 
-    def test_scheduling_into_the_past_raises(self):
-        loop = EventLoop()
-        loop.schedule(10.0, "a")
-        assert loop.pop()[0] == 10.0
+    @pytest.mark.parametrize(
+        "rate, concurrency, expected",
+        [
+            # Request 0's completion at t=3 was scheduled (at t=1) before
+            # arrival 2 was (at t=2): it pops first.
+            (
+                1.0,
+                2,
+                [
+                    ("arrival", 1.0, 0), ("start", 1.0, 0),
+                    ("arrival", 2.0, 1), ("start", 2.0, 1),
+                    ("done", 3.0, 0), ("arrival", 3.0, 2), ("start", 3.0, 2),
+                    ("done", 4.0, 1), ("done", 5.0, 2),
+                ],
+            ),
+            # Arrival 1 at t=4 was scheduled before request 0's
+            # completion at t=4: the arrival pops first.
+            (
+                0.5,
+                1,
+                [
+                    ("arrival", 2.0, 0), ("start", 2.0, 0),
+                    ("arrival", 4.0, 1), ("done", 4.0, 0), ("start", 4.0, 1),
+                    ("arrival", 6.0, 2), ("done", 6.0, 1), ("start", 6.0, 2),
+                    ("done", 8.0, 2),
+                ],
+            ),
+        ],
+    )
+    def test_ties_pop_in_schedule_order(self, rate, concurrency, expected):
+        config = ServingConfig(
+            arrival=ArrivalSpec(process="constant", rate=rate),
+            service=ServiceModel(t_hit=1.0, t_miss=1.0),
+            concurrency=concurrency,
+        )
+        assert _events(_blocks_trace(3), config) == expected
+
+    @pytest.mark.parametrize(
+        "queue, referee", [("fifo", False), ("sjf", False), ("fifo", True)]
+    )
+    def test_arrivals_into_the_past_raise(self, monkeypatch, queue, referee):
+        trace = make_trace(length=4)
+        kwargs = {}
+        if referee:
+            from repro.core.engine import Engine
+            from repro.policies import make_policy
+
+            kwargs["engine"] = Engine(make_policy("item-lru", 16, trace.mapping))
         with pytest.raises(ConfigurationError):
-            loop.schedule(9.0, "b")
+            _events(
+                trace,
+                ServingConfig(queue=queue),
+                [10.0, 9.0, 11.0, 12.0],
+                monkeypatch,
+                **kwargs,
+            )
 
 
 # ---------------------------------------------------------------------------
