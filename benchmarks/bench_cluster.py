@@ -106,7 +106,8 @@ def _serve_speedup(trace, spec):
     """Fastest referee-oracle cluster serving over fastest ``serve_cluster``."""
     sub = Trace(trace.items[:SERVE_LENGTH], trace.mapping, dict(trace.metadata))
     offline = replay_cluster("iblp", CAPACITY, sub, spec, fast=True).sim
-    mean_service = 1.0 + (100.0 * offline.misses + offline.loaded_items - offline.misses) / offline.accesses
+    extra = offline.loaded_items - offline.misses
+    mean_service = 1.0 + (100.0 * offline.misses + extra) / offline.accesses
     config = ServingConfig(
         arrival=ArrivalSpec(process="mmpp", rate=0.9 * 4 / mean_service, seed=1),
         service=ServiceModel(t_hit=1.0, t_miss=100.0, t_item=1.0),

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.cluster.replay import ClusterSpec
 from repro.core.engine import Engine
-from repro.core.fast import KIND_MISS, stepper
+from repro.core.fast import KIND_MISS, compile_trace, stepper
 from repro.core.trace import Trace
 from repro.serving.service import (
     ServingConfig,
@@ -178,12 +178,18 @@ class _ClusterStepper:
     :class:`ClusterEngine` folds them.
     """
 
-    def __init__(self, instances: list, capacity: int, trace: Trace, cluster: ClusterSpec) -> None:
+    def __init__(
+        self, instances: list, capacity: int, trace: Trace, cluster: ClusterSpec
+    ) -> None:
         self._steppers = [stepper(inst, trace) for inst in instances]
         self._name = getattr(instances[0], "name", type(instances[0]).__name__)
         self._capacity = capacity
         lookup = _shard_table(trace, cluster)
-        items = trace.items.tolist()
+        # The steppers' memoized compilation already holds the items as
+        # a list (an mmap-backed one holds its column instead).
+        items = compile_trace(trace).items
+        if not isinstance(items, list):
+            items = trace.items.tolist()
         steps = [shard.step for shard in self._steppers]
         probes = [shard.contains for shard in self._steppers]
 
@@ -211,7 +217,9 @@ class _ClusterStepper:
         return merged
 
 
-def _stepped_replay(cache: _ClusterStepper, trace: Trace) -> Tuple[SimResult, List[int], List[int]]:
+def _stepped_replay(
+    cache: _ClusterStepper, trace: Trace
+) -> Tuple[SimResult, List[int], List[int]]:
     """Step every request in trace order: the fixed FIFO stream's pass."""
     record: List[int] = []
     loads: List[int] = []

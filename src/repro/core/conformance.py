@@ -678,7 +678,9 @@ def conformance_suite(
                         served_order(min(len(trace), STEP_ROW_POSITIONS), capacity),
                         **kwargs,
                     )
-                    for mode, report in zip(("cell", "loads", "step"), (*reports, step)):
+                    for mode, report in zip(
+                        ("cell", "loads", "step"), (*reports, step)
+                    ):
                         rows.append(
                             {
                                 "trace": trace_name,

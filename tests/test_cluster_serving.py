@@ -188,7 +188,9 @@ def test_kernel_shards_match_cluster_engine_oracle(
     spec = ClusterSpec(n_shards=shards, scheme=scheme)
     cfg = dataclasses.replace(
         config(rate=0.06),
-        service=ServiceModel(t_hit=1.0, t_miss=50.0, t_item=1.0, dist="exponential", seed=3),
+        service=ServiceModel(
+            t_hit=1.0, t_miss=50.0, t_item=1.0, dist="exponential", seed=3
+        ),
         **stream,
     )
     fast_seen, oracle_seen = [], []

@@ -43,7 +43,9 @@ CAPACITY = 32
 RATE = 0.15
 ARRIVALS = {
     "poisson": ArrivalSpec(process="poisson", rate=RATE, seed=5),
-    "mmpp": ArrivalSpec(process="mmpp", rate=RATE, seed=6, mean_on=80.0, mean_off=60.0),
+    "mmpp": ArrivalSpec(
+        process="mmpp", rate=RATE, seed=6, mean_on=80.0, mean_off=60.0
+    ),
     "constant": ArrivalSpec(process="constant", rate=RATE),
     "closed": ArrivalSpec(process="closed", clients=6, think=20.0, seed=7),
 }
@@ -52,7 +54,9 @@ SERVICES = {
     "exponential": ServiceModel(
         t_hit=1.0, t_miss=40.0, t_item=1.0, dist="exponential", seed=8
     ),
-    "etc": ServiceModel(t_hit=1.0, t_miss=40.0, t_item=1.0, size_dist="etc", size_seed=9),
+    "etc": ServiceModel(
+        t_hit=1.0, t_miss=40.0, t_item=1.0, size_dist="etc", size_seed=9
+    ),
 }
 SHARDINGS = ((1, "block"), (1, "item"), (4, "block"), (4, "item"))
 
@@ -121,7 +125,11 @@ def cluster_digests(policy: str) -> Dict[str, str]:
     return {
         case: digest(
             serve_cluster(
-                p, CAPACITY, trace, ClusterSpec(n_shards=shards, scheme=scheme), config(*args)
+                p,
+                CAPACITY,
+                trace,
+                ClusterSpec(n_shards=shards, scheme=scheme),
+                config(*args),
             )
         )
         for case, p, args, shards, scheme in cluster_cases()
@@ -154,13 +162,17 @@ def test_serve_cluster_payloads_match_golden(policy):
 def test_golden_grid_covers_every_case():
     stored = _stored()
     assert sorted(stored["serve"]) == sorted(case for case, *_ in serve_cases())
-    assert sorted(stored["serve_cluster"]) == sorted(case for case, *_ in cluster_cases())
+    assert sorted(stored["serve_cluster"]) == sorted(
+        case for case, *_ in cluster_cases()
+    )
 
 
 if __name__ == "__main__":
     payload = {
         "serve": {k: v for p in POLICIES for k, v in serve_digests(p).items()},
-        "serve_cluster": {k: v for p in POLICIES for k, v in cluster_digests(p).items()},
+        "serve_cluster": {
+            k: v for p in POLICIES for k, v in cluster_digests(p).items()
+        },
     }
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(payload['serve'])} serve and "
