@@ -69,7 +69,6 @@ __all__ = [
     "assert_multi_policy_conformant",
     "check_step",
     "assert_step_conformant",
-    "served_order",
     "check_mmap_conformance",
     "assert_mmap_conformant",
     "mmap_conformance_suite",
@@ -311,7 +310,7 @@ def assert_loads_conformant(
     return report
 
 
-def served_order(positions: int, seed: int) -> List[int]:
+def _served_order(positions: int, seed: int) -> List[int]:
     """Trace positions ``0..positions-1`` as a loaded server might start
     them: about one in ten skipped (dropped) and the rest shuffled
     within windows of four (reordered by a shortest-job-first queue).
@@ -640,7 +639,7 @@ def conformance_suite(
 
     Every cell also yields a ``mode="step"`` row (:func:`check_step`)
     over the first :data:`STEP_ROW_POSITIONS` positions of the trace in
-    a :func:`served_order` seeded by the capacity, so stepped kernels
+    a :func:`_served_order` seeded by the capacity, so stepped kernels
     are certified on skipped and reordered streams too.
 
     Stack policies additionally get ``mode="batched"`` rows: the whole
@@ -671,13 +670,10 @@ def conformance_suite(
             for kwargs in variants:
                 for capacity in caps:
                     reports = _check_cell(policy, capacity, trace, 16, kwargs)
-                    step = check_step(
-                        policy,
-                        capacity,
-                        trace,
-                        served_order(min(len(trace), STEP_ROW_POSITIONS), capacity),
-                        **kwargs,
+                    order = _served_order(
+                        min(len(trace), STEP_ROW_POSITIONS), capacity
                     )
+                    step = check_step(policy, capacity, trace, order, **kwargs)
                     for mode, report in zip(
                         ("cell", "loads", "step"), (*reports, step)
                     ):

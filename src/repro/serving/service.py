@@ -534,7 +534,9 @@ _CODE_KINDS: Tuple[HitKind, ...] = (
 )
 
 #: :class:`HitKind` → kernel outcome code.
-_KIND_CODES: Dict[HitKind, int] = {kind: code for code, kind in enumerate(_CODE_KINDS)}
+_KIND_CODES: Dict[HitKind, int] = {
+    kind: code for code, kind in enumerate(_CODE_KINDS)
+}
 
 #: ``step(index) -> (code, service_time)``: the cache access of request
 #: ``index`` (a ``KIND_*`` code) and its sampled service time, called
@@ -1051,7 +1053,8 @@ def _run_loop(
                 issued += 1
         else:
             assert open_times is not None
-            _check_arrival(0, open_times[0], now)
+            if open_times[0] < now:
+                raise _past_arrival(0, open_times[0], now)
             push(heap, (open_times[0], seq, -1))
             seq += 1
 
@@ -1076,7 +1079,7 @@ def _run_loop(
             if not closed and index + 1 < n:
                 at = open_times[index + 1]  # type: ignore[index]
                 if at < now:
-                    _check_arrival(index + 1, at, now)
+                    raise _past_arrival(index + 1, at, now)
                 push(heap, (at, seq, -2 - index))
                 seq += 1
             if (
@@ -1154,12 +1157,11 @@ def _run_loop(
     result.queue_peak = queue_peak
 
 
-def _check_arrival(index: int, at: float, now: float) -> None:
-    """Refuse to schedule arrival ``index`` into the simulated past."""
-    if at < now:
-        raise ConfigurationError(
-            f"cannot schedule arrival {index} at t={at} before now={now}"
-        )
+def _past_arrival(index: int, at: float, now: float) -> ConfigurationError:
+    """The error for scheduling arrival ``index`` into the simulated past."""
+    return ConfigurationError(
+        f"cannot schedule arrival {index} at t={at} before now={now}"
+    )
 
 
 def serve_policy(
