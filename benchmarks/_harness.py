@@ -8,10 +8,9 @@ fingerprint, the git sha, and a schema the comparison gate
 which way is *worse* — ``"lower"`` metrics (wall seconds) regress by
 growing, ``"higher"`` metrics (speedups, throughput) by shrinking.
 
-Two copies are written: ``BENCH_<name>.json`` at the repo root (the
+One record is written, ``BENCH_<name>.json`` at the repo root: the
 flight-recorder location CI diffs against a committed baseline with
-``gc-caching obs bench-compare``) and a timestamped-free mirror under
-``benchmarks/out/`` next to the other artifacts.
+``gc-caching obs bench-compare``.
 
 Raw wall seconds only compare on similar machines; derived ratios
 (speedups) are machine-independent, which is why every bench also
@@ -33,7 +32,6 @@ __all__ = ["git_sha", "machine_fingerprint", "metric", "write_bench"]
 
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
-OUT_DIR = BENCH_DIR / "out"
 
 _DIRECTIONS = ("lower", "higher")
 
@@ -83,12 +81,12 @@ def write_bench(
     metrics: Dict[str, Dict[str, Any]],
     extra: Optional[Dict[str, Any]] = None,
 ) -> Path:
-    """Write ``BENCH_<name>.json`` (repo root + ``benchmarks/out/``).
+    """Write ``BENCH_<name>.json`` at the repo root.
 
     ``metrics`` values come from :func:`metric`; ``extra`` carries
     bench-specific context (trace lengths, worker counts, raw rows)
     that the compare gate ignores but humans want in the record.
-    Returns the repo-root path.
+    Returns its path.
     """
     for metric_name, payload in metrics.items():
         if "value" not in payload:
@@ -112,8 +110,6 @@ def write_bench(
                 raise ValueError(f"extra key {key!r} shadows a harness field")
         record.update(extra)
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"
-    root_path = REPO_ROOT / f"BENCH_{name}.json"
-    root_path.write_text(text)
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / root_path.name).write_text(text)
-    return root_path
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    path.write_text(text)
+    return path

@@ -37,6 +37,7 @@ from repro.campaign.spec import (
 )
 from repro.campaign.store import ResultStore
 from repro.errors import ConfigurationError
+from repro.obs.cli import csv_list
 
 __all__ = [
     "add_campaign_parser",
@@ -45,12 +46,8 @@ __all__ = [
 ]
 
 
-def _csv_list(text: str) -> List[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
 def _int_list(text: str) -> List[int]:
-    return [int(part) for part in _csv_list(text)]
+    return [int(part) for part in csv_list(text)]
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,7 +81,7 @@ def add_campaign_parser(sub: argparse._SubParsersAction) -> None:
     p_run.add_argument("--name", default=None, help="campaign name")
     p_run.add_argument(
         "--policy",
-        type=_csv_list,
+        type=csv_list,
         required=True,
         metavar="P1,P2,...",
         help="comma-separated registry policy names",

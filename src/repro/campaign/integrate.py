@@ -60,24 +60,15 @@ class CampaignCache:
         Campaign directory holding the store and journal (shared with
         ``campaign`` CLI runs pointed at the same directory), or
         ``None`` for the store-less cache that computes every cell.
-    recorder:
-        Optional :class:`repro.telemetry.Recorder`; hit/miss counters
-        are published into its registry on :meth:`close`.
     """
 
-    def __init__(
-        self,
-        directory: Optional[str | Path],
-        recorder=None,
-        store_sync: bool = True,
-    ) -> None:
+    def __init__(self, directory: Optional[str | Path]) -> None:
         self.directory = None if directory is None else Path(directory)
         self.store = None
         self.journal = None
         if self.directory is not None:
-            self.store = ResultStore(self.directory, sync=store_sync)
+            self.store = ResultStore(self.directory)
             self.journal = Journal(self.directory)
-        self.recorder = recorder
         self.hits = 0
         self.computed = 0
 
@@ -294,11 +285,6 @@ class CampaignCache:
     def close(self) -> None:
         if self.store is None:
             return
-        if self.recorder is not None:
-            reg = self.recorder.registry
-            reg.counter("campaign_cache_hits").inc(self.hits)
-            reg.counter("campaign_cache_computed").inc(self.computed)
-            reg.gauge("campaign_cache_hit_ratio").set(self.hit_ratio)
         self.store.close()
         self.journal.close()
 
@@ -350,9 +336,9 @@ def _compute(
 UNCACHED = CampaignCache(None)
 
 
-def open_cache(directory: Optional[str | Path], recorder=None) -> CampaignCache:
+def open_cache(directory: Optional[str | Path]) -> CampaignCache:
     """``CampaignCache`` for ``directory``, or :data:`UNCACHED` when no
     directory is given (the experiments' uncached default)."""
     if directory is None:
         return UNCACHED
-    return CampaignCache(directory, recorder=recorder)
+    return CampaignCache(directory)

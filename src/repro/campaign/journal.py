@@ -23,7 +23,6 @@ is skipped on replay.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
@@ -36,13 +35,16 @@ JOURNAL_FILENAME = "journal.jsonl"
 
 
 class Journal:
-    """Append/replay interface over a campaign's ``journal.jsonl``."""
+    """Append/replay interface over a campaign's ``journal.jsonl``.
 
-    def __init__(self, directory: str | Path, sync: bool = False) -> None:
+    Appends are flushed but not fsynced: the journal is descriptive,
+    so a lost tail costs history, never results.
+    """
+
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / JOURNAL_FILENAME
-        self.sync = sync
         self._fh = None
 
     def append(self, event: str, **fields: Any) -> Dict[str, Any]:
@@ -52,8 +54,6 @@ class Journal:
             self._fh = open(self.path, "ab")
         self._fh.write((canonical_json(record) + "\n").encode())
         self._fh.flush()
-        if self.sync:
-            os.fsync(self._fh.fileno())
         return record
 
     def replay(self) -> Iterator[Dict[str, Any]]:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
-import os
 import time
 import traceback
 from contextlib import contextmanager
@@ -69,6 +68,12 @@ __all__ = [
     "result_fields",
     "result_from_fields",
 ]
+
+#: Seconds between ``watch.json`` (and ``--metrics-out``) snapshots.
+HEARTBEAT_SECONDS = 1.0
+#: Longest wait for a parallel worker's reply before the executor
+#: re-checks deadlines, backoff and the heartbeat.
+_POLL_SECONDS = 0.05
 
 
 def result_fields(result: Any) -> Dict[str, Any]:
@@ -394,10 +399,11 @@ class CampaignRunner:
     metrics_out:
         Refresh a Prometheus-textfile snapshot of the live campaign
         gauges here on every heartbeat (and once more at the end).
-    heartbeat:
-        Seconds between ``watch.json`` progress snapshots in the
-        campaign directory (what ``gc-caching campaign watch`` polls);
-        ``0`` disables heartbeats entirely.
+
+    Every :data:`HEARTBEAT_SECONDS` the runner writes a ``watch.json``
+    progress snapshot into the campaign directory (what ``gc-caching
+    campaign watch`` polls).  Store rows are fsynced before they are
+    indexed; journal appends are flushed, not fsynced.
     """
 
     def __init__(
@@ -410,11 +416,8 @@ class CampaignRunner:
         retry: RetryPolicy = RetryPolicy(),
         recorder=None,
         sleep: Callable[[float], None] = time.sleep,
-        store_sync: bool = True,
-        tick: float = 0.05,
         trace_spans: Optional[str | Path] = None,
         metrics_out: Optional[str | Path] = None,
-        heartbeat: float = 1.0,
     ) -> None:
         self.directory = Path(directory)
         self._respec_from: Optional[str] = None
@@ -442,14 +445,10 @@ class CampaignRunner:
         self.retry = retry
         self.recorder = recorder
         self._sleep = sleep
-        self._tick = tick
-        self.store = ResultStore(self.directory, sync=store_sync)
+        self.store = ResultStore(self.directory)
         self.journal = Journal(self.directory)
         self._spans_path = Path(trace_spans) if trace_spans else None
         self._metrics_path = Path(metrics_out) if metrics_out else None
-        if heartbeat < 0:
-            raise ConfigurationError(f"heartbeat must be >= 0, got {heartbeat}")
-        self.heartbeat = heartbeat
         self._watch_path = self.directory / WATCH_FILENAME
         # Live gauges for --metrics-out, deliberately separate from the
         # recorder's registry: that one accumulates end-of-run counters
@@ -706,7 +705,7 @@ class CampaignRunner:
                     state.not_before = 0.0
                     heapq.heappush(ready, (0.0, index, state))
                     continue
-                timeout = self._tick
+                timeout = _POLL_SECONDS
                 deadlines = [d for (_, _, d, _) in running.values() if d]
                 if deadlines:
                     timeout = min(
@@ -881,10 +880,8 @@ class CampaignRunner:
         Heartbeat failures are swallowed: observability must never take
         down a campaign that is otherwise making progress.
         """
-        if self.heartbeat <= 0:
-            return
         now = time.monotonic()
-        if not force and now - self._last_heartbeat < self.heartbeat:
+        if not force and now - self._last_heartbeat < HEARTBEAT_SECONDS:
             return
         self._last_heartbeat = now
         state = self._watch_state(running or {}, finished)

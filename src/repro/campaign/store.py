@@ -59,9 +59,6 @@ class ResultStore:
     ----------
     directory:
         Campaign directory; created if missing.
-    sync:
-        fsync each appended row before indexing it (default).  Disable
-        only in tests/benches where torn-write durability is moot.
     readonly:
         Open for reading only: nothing in the directory is created,
         written, truncated or re-indexed.  The SQLite index is opened
@@ -70,12 +67,11 @@ class ResultStore:
     """
 
     def __init__(
-        self, directory: str | Path, sync: bool = True, readonly: bool = False
+        self, directory: str | Path, readonly: bool = False
     ) -> None:
         self.directory = Path(directory)
         self.results_path = self.directory / RESULTS_FILENAME
         self.index_path = self.directory / INDEX_FILENAME
-        self.sync = sync
         self.readonly = readonly
         if readonly:
             self._db = sqlite3.connect(":memory:")
@@ -188,8 +184,7 @@ class ResultStore:
             offset = f.tell()
             f.write(line)
             f.flush()
-            if self.sync:
-                os.fsync(f.fileno())
+            os.fsync(f.fileno())
         self._index(cell_hash, offset, len(line))
         self._db.commit()
         return True

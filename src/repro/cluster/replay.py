@@ -54,6 +54,7 @@ from repro.cluster.result import ClusterResult
 from repro.cluster.router import ShardRouter, split_stats
 from repro.core.conformance import KIND_CODE
 from repro.core.engine import simulate
+from repro.core.fast import KIND_MISS, KIND_SPATIAL, KIND_TEMPORAL
 from repro.core.mapping import FixedBlockMapping
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
@@ -140,7 +141,6 @@ def _replay_shard(
     *,
     policy_kwargs: Mapping[str, Any],
     fast: bool,
-    validate: bool,
     want_kinds: bool,
 ) -> Tuple[SimResult, Optional[np.ndarray]]:
     """Replay one shard's sub-trace; optionally return per-access kinds.
@@ -157,7 +157,7 @@ def _replay_shard(
         policy_name, capacity, sub.mapping, **dict(policy_kwargs)
     )
     if not want_kinds:
-        return simulate(instance, sub, validate=validate, fast=fast), None
+        return simulate(instance, sub, fast=fast), None
     if fast:
         from repro.core.fast import fast_simulate
 
@@ -170,7 +170,7 @@ def _replay_shard(
     def observe(pos: int, item: int, kind: HitKind) -> None:
         kinds[pos] = KIND_CODE[kind]
 
-    result = simulate(instance, sub, validate=validate, on_access=observe)
+    result = simulate(instance, sub, on_access=observe)
     return result, kinds
 
 
@@ -207,9 +207,9 @@ def _tenant_taxonomy(
         tk = kinds[mask]
         out[name] = {
             "accesses": int(tk.size),
-            "misses": int(np.count_nonzero(tk == 0)),
-            "temporal_hits": int(np.count_nonzero(tk == 1)),
-            "spatial_hits": int(np.count_nonzero(tk == 2)),
+            "misses": int(np.count_nonzero(tk == KIND_MISS)),
+            "temporal_hits": int(np.count_nonzero(tk == KIND_TEMPORAL)),
+            "spatial_hits": int(np.count_nonzero(tk == KIND_SPATIAL)),
         }
     return out
 
@@ -224,7 +224,6 @@ def replay_cluster(
     tenant_ids: Optional[np.ndarray] = None,
     tenant_names: Optional[Sequence[str]] = None,
     fast: bool = True,
-    validate: bool = True,
 ) -> ClusterResult:
     """Replay ``trace`` through an N-shard cluster of ``policy`` caches.
 
@@ -239,9 +238,10 @@ def replay_cluster(
         Optional per-access tenant tags (from :func:`combine_tenants`);
         when given, every access's hit kind is attributed back to its
         tenant in ``ClusterResult.tenants``.
-    fast / validate:
+    fast:
         Forwarded to each shard's replay, same semantics as
-        :func:`repro.core.engine.simulate`.
+        :func:`repro.core.engine.simulate`; shards on the referee
+        validate every cache action.
     """
     policy_kwargs = policy_kwargs or {}
     want_kinds = tenant_ids is not None
@@ -283,7 +283,6 @@ def replay_cluster(
                     sub,
                     policy_kwargs=policy_kwargs,
                     fast=fast,
-                    validate=validate,
                     want_kinds=want_kinds,
                 )
             shard_results.append(res)
@@ -374,9 +373,7 @@ def replay_multitenant(
     *,
     policies: Optional[Mapping[str, str]] = None,
     shares: Optional[Mapping[str, float]] = None,
-    policy_kwargs: Optional[Mapping[str, Any]] = None,
     fast: bool = True,
-    validate: bool = True,
 ) -> ClusterResult:
     """Run one multi-tenant partitioning configuration on the cluster.
 
@@ -399,11 +396,9 @@ def replay_multitenant(
             capacity,
             combined,
             cluster,
-            policy_kwargs=policy_kwargs,
             tenant_ids=tenant_ids,
             tenant_names=tenant_names,
             fast=fast,
-            validate=validate,
         )
         result.sim.metadata["tenancy"] = mode
         return result
@@ -431,13 +426,7 @@ def replay_multitenant(
         for name in names:
             share = max(1, int(round(capacity * shares.get(name, 0.0))))
             sub = replay_cluster(
-                per_policy[name],
-                share,
-                tenant_traces[name],
-                cluster,
-                policy_kwargs=policy_kwargs,
-                fast=fast,
-                validate=validate,
+                per_policy[name], share, tenant_traces[name], cluster, fast=fast
             )
             tenants[name] = {
                 "accesses": sub.sim.accesses,

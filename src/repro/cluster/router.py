@@ -28,28 +28,16 @@ Routing is pure integer arithmetic on a seeded 64-bit mix (SplitMix64
 :class:`ShardRouter` is fully described by its :meth:`identity` dict:
 the campaign layer hashes that identity into cluster cells' content
 addresses.
-
-Derived sub-trace fingerprints
-------------------------------
-:meth:`split` returns per-shard sub-traces whose
-:meth:`~repro.core.trace.Trace.fingerprint` is *derived* — a digest of
-(parent fingerprint, router identity, shard id) — rather than re-hashed
-from the sub-trace's items.  Routing is deterministic, so the derived
-digest names the sub-trace content just as uniquely while costing O(1)
-instead of O(n) per shard; a process-local cache keyed by (parent
-fingerprint, identity, shard) makes repeated splits free.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.core.mapping import BlockMapping
+from repro.core.mapping import BlockMapping, splitmix64
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
 
@@ -57,53 +45,11 @@ __all__ = [
     "ShardRouter",
     "RoutingPlan",
     "SCHEMES",
-    "derived_fingerprint",
     "split_stats",
 ]
 
 #: Hash schemes a router understands (see the module docstring).
 SCHEMES: Tuple[str, ...] = ("block", "item", "modulo")
-
-#: Derived-fingerprint cache: (parent_fp, identity_json, shard) -> hex.
-_FP_CACHE: Dict[Tuple[str, str, int], str] = {}
-_FP_CACHE_MAX = 4096
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer (stable across platforms/runs)."""
-    z = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z += np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    return z
-
-
-def derived_fingerprint(parent_fp: str, identity_json: str, shard: int) -> str:
-    """Content hash of one shard's sub-trace, derived without rehashing.
-
-    Deterministic routing makes (parent trace, router identity, shard)
-    a complete description of the sub-trace's content, so hashing that
-    triple is as collision-safe as rehashing the filtered items — and
-    O(1) instead of O(n) per shard.
-    """
-    key = (parent_fp, identity_json, shard)
-    cached = _FP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    h = hashlib.sha256()
-    h.update(b"subtrace-v1\x00")
-    h.update(parent_fp.encode())
-    h.update(b"\x00")
-    h.update(identity_json.encode())
-    h.update(f"\x00shard:{shard}".encode())
-    digest = h.hexdigest()
-    if len(_FP_CACHE) >= _FP_CACHE_MAX:
-        _FP_CACHE.clear()
-    _FP_CACHE[key] = digest
-    return digest
-
 
 def split_stats(
     blocks: np.ndarray, shard_of: np.ndarray, n_shards: int
@@ -209,7 +155,7 @@ class ShardRouter:
         """
         ids = np.arange(self.n_shards * self.vnodes, dtype=np.uint64)
         salt = np.uint64((self.seed * 0x9E3779B9 + 0xA5A5A5A5) & 0xFFFFFFFFFFFFFFFF)
-        points = _splitmix64(ids ^ salt)
+        points = splitmix64(ids ^ salt)
         owners = (ids // np.uint64(self.vnodes)).astype(np.int64)
         order = np.lexsort((owners, points))
         return points[order], owners[order]
@@ -218,7 +164,7 @@ class ShardRouter:
     def _ring_lookup(self, keys: np.ndarray) -> np.ndarray:
         points, owners = self._ring
         salt = np.uint64((self.seed * 0x51ED2701 + 0x3C6EF372) & 0xFFFFFFFFFFFFFFFF)
-        hashed = _splitmix64(keys.astype(np.uint64) ^ salt)
+        hashed = splitmix64(keys.astype(np.uint64) ^ salt)
         pos = np.searchsorted(points, hashed, side="left")
         pos[pos == points.size] = 0  # wrap past the last ring point
         return owners[pos]
@@ -243,15 +189,12 @@ class ShardRouter:
     def split(self, trace: Trace) -> RoutingPlan:
         """Route every access; return per-shard sub-traces (one pass).
 
-        Sub-traces keep the parent's mapping and metadata and carry
-        derived fingerprints (see the module docstring), so downstream
-        content-addressed consumers — the compile memo, campaign
-        stores — treat each shard's stream as its own trace without
-        rehashing the parent once per shard.
+        Sub-traces keep the parent's mapping and metadata; each is a
+        plain :class:`~repro.core.trace.Trace`, fingerprinted from its
+        own items when something (the compile memo) asks.  Cluster
+        campaign cells are addressed by the parent trace's fingerprint.
         """
         shard_of = self.shards_of(trace.items, trace.mapping)
-        identity_json = self.identity_json()
-        parent_fp = trace.fingerprint()
         indices: List[np.ndarray] = []
         subtraces: List[Trace] = []
         for shard in range(self.n_shards):
@@ -261,7 +204,6 @@ class ShardRouter:
                 trace.mapping,
                 {**trace.metadata, "shard": shard, "n_shards": self.n_shards},
             )
-            sub._fp = derived_fingerprint(parent_fp, identity_json, shard)
             indices.append(idx)
             subtraces.append(sub)
         return RoutingPlan(
@@ -293,9 +235,6 @@ class ShardRouter:
             "vnodes": self.vnodes,
             "seed": self.seed,
         }
-
-    def identity_json(self) -> str:
-        return json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ShardRouter":

@@ -32,13 +32,14 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.replay import ClusterSpec
+from repro.cluster.replay import ClusterSpec, _merge_shards
 from repro.core.engine import Engine
 from repro.core.fast import KIND_MISS, compile_trace, stepper
 from repro.core.trace import Trace
 from repro.serving.service import (
     ServingConfig,
     ServingResult,
+    _check_in_order,
     _referee_reason,
     _serve,
     serve,
@@ -120,7 +121,6 @@ class ClusterEngine:
         cluster: ClusterSpec,
         *,
         policy_kwargs: Optional[Mapping[str, Any]] = None,
-        validate: bool = True,
     ) -> None:
         self.cluster = cluster
         self.mapping = trace.mapping
@@ -130,9 +130,7 @@ class ClusterEngine:
             for inst, sub in zip(instances, plan.subtraces):
                 if inst.is_offline:
                     inst.prepare(sub)
-        self.engines = [
-            Engine(inst, trace.mapping, validate=validate) for inst in instances
-        ]
+        self.engines = [Engine(inst, trace.mapping) for inst in instances]
         self._lookup = _shard_table(trace, cluster)
         self.resident = _ClusterResident(self.engines, self._lookup)
         self.result = SimResult(
@@ -204,17 +202,12 @@ class _ClusterStepper:
         self.contains = contains
 
     def result(self, trace: Trace) -> SimResult:
-        merged = SimResult(policy=self._name, capacity=self._capacity)
-        merged.metadata.update(trace.scalar_metadata())
-        for shard in self._steppers:
-            part = shard.result(trace)
-            merged.accesses += part.accesses
-            merged.misses += part.misses
-            merged.temporal_hits += part.temporal_hits
-            merged.spatial_hits += part.spatial_hits
-            merged.loaded_items += part.loaded_items
-            merged.evicted_items += part.evicted_items
-        return merged
+        return _merge_shards(
+            self._name,
+            self._capacity,
+            [shard.result(trace) for shard in self._steppers],
+            trace,
+        )
 
 
 def _stepped_replay(
@@ -240,9 +233,7 @@ def serve_cluster(
     config: Optional[ServingConfig] = None,
     *,
     policy_kwargs: Optional[Mapping[str, Any]] = None,
-    validate: bool = True,
     on_access: Optional[Callable[[int, int, HitKind], None]] = None,
-    on_event: Optional[Callable[[str, float, int], None]] = None,
 ) -> ServingResult:
     """Run the serving simulator with requests dispatched across shards.
 
@@ -256,9 +247,13 @@ def serve_cluster(
     Shards run on kernel steppers when a kernel covers the policy and
     service sizes are fixed; otherwise (``fallback_reason``
     ``"etc-sizes"`` or a :func:`~repro.core.fast.fast_fallback_reason`
-    value) the run is ``serve(engine=ClusterEngine(...))``.  The
-    ``cluster.serve`` span records ``path="kernel"|"referee"`` and the
-    ``fallback_reason``; ``validate`` applies to the referee only.
+    value) the run is ``serve(engine=ClusterEngine(...))``, whose shard
+    engines validate every cache action.  The ``cluster.serve`` span
+    records ``path="kernel"|"referee"`` and the ``fallback_reason``.
+    An offline policy under SJF, a ``queue_limit`` or a ``timeout``
+    raises :class:`~repro.errors.ConfigurationError`, as in ``serve``.
+    To observe serving events, pass ``on_event`` to
+    ``serve(None, trace, config, engine=ClusterEngine(...))``.
     """
     config = config if config is not None else ServingConfig()
     with spans.span(
@@ -269,28 +264,16 @@ def serve_cluster(
         scheme=cluster.scheme,
     ) as sp:
         instances = _shard_policies(policy, capacity, trace, cluster, policy_kwargs)
-        reason = _referee_reason(instances[0], trace, config, None, None)
+        _check_in_order(instances[0], config)
+        reason = _referee_reason(instances[0], trace, config, None)
         if sp is not None:
             sp.set("path", "kernel" if reason is None else "referee")
             sp.set("fallback_reason", reason)
         if reason is not None:
             engine = ClusterEngine(
-                policy,
-                capacity,
-                trace,
-                cluster,
-                policy_kwargs=policy_kwargs,
-                validate=validate,
+                policy, capacity, trace, cluster, policy_kwargs=policy_kwargs
             )
-            return serve(
-                None,
-                trace,
-                config,
-                validate=validate,
-                engine=engine,
-                on_access=on_access,
-                on_event=on_event,
-            )
+            return serve(None, trace, config, engine=engine, on_access=on_access)
         cache = _ClusterStepper(instances, capacity, trace, cluster)
         return _serve(
             trace,
@@ -299,5 +282,5 @@ def serve_cluster(
             lambda: _stepped_replay(cache, trace),
             lambda: cache,
             on_access,
-            on_event,
+            None,
         )

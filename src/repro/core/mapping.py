@@ -11,7 +11,8 @@ than ``B`` items.  Two concrete mappings are provided:
   sizes).
 
 Mappings are immutable and cheap to share between traces, policies and
-adversaries.
+adversaries.  :func:`splitmix64` is the seeded id hash that shard
+routing and SHARDS sampling apply to item and block ids.
 """
 
 from __future__ import annotations
@@ -22,7 +23,18 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["BlockMapping", "FixedBlockMapping", "ExplicitBlockMapping"]
+__all__ = ["BlockMapping", "FixedBlockMapping", "ExplicitBlockMapping", "splitmix64"]
+
+
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """Vectorized SplitMix64 finalizer (stable across platforms/runs)."""
+    z = x.astype(np.uint64, copy=True)
+    with np.errstate(over="ignore"):
+        z += np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    return z
 
 
 class BlockMapping:

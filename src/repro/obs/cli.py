@@ -23,7 +23,8 @@ from repro.errors import ConfigurationError
 __all__ = ["add_obs_parser", "run_obs_command"]
 
 
-def _csv_list(text: str) -> List[str]:
+def csv_list(text: str) -> List[str]:
+    """A comma-separated argument as its non-blank, stripped parts."""
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
@@ -62,7 +63,7 @@ def add_obs_parser(sub: argparse._SubParsersAction) -> None:
     )
     p_cmp.add_argument(
         "--metrics",
-        type=_csv_list,
+        type=csv_list,
         default=None,
         metavar="M1,M2,...",
         help="gate only these metrics (default: every shared metric); "

@@ -3,7 +3,7 @@
 The offline simulator answers *"what is the miss ratio"*;
 :func:`serve` answers *"what does a user feel at this offered load"*.
 Every policy plugs in unchanged.  When a :mod:`repro.core.fast`
-kernel covers the policy (and no ETC sizes, recorder or caller engine
+kernel covers the policy (and neither ETC sizes nor a caller engine
 ask for the referee), the cache runs on the kernel: with the cache
 stream fixed before the loop starts (FIFO queue, no drops) one kernel
 pass precomputes every request's hit kind and service time, and under
@@ -45,7 +45,6 @@ knobs deliberately trade that equivalence for scheduling realism.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -53,6 +52,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core.conformance import KIND_CODE
 from repro.core.engine import Engine, check_same_mapping
 from repro.core.fast import KIND_MISS, fast_fallback_reason, fast_simulate, stepper
 from repro.core.trace import Trace
@@ -439,20 +439,15 @@ def serve(
     trace: Trace,
     config: Optional[ServingConfig] = None,
     *,
-    validate: bool = True,
     engine=None,
     on_access: Optional[Callable[[int, int, HitKind], None]] = None,
     on_event: Optional[Callable[[str, float, int], None]] = None,
-    recorder=None,
 ) -> ServingResult:
     """Serve ``trace`` through ``policy`` under a serving config.
 
-    Parameters mirror :func:`~repro.core.engine.simulate` where they
-    overlap: ``validate`` referee-checks every cache action,
     ``on_access(pos, item, kind)`` observes the classified access
-    stream (same contract; ``pos`` is the trace position), and an
-    optional telemetry ``recorder`` sees every access plus a
-    ``"serve"`` phase.  ``on_event(name, time, index)`` additionally
+    stream (the :func:`~repro.core.engine.simulate` contract; ``pos`` is
+    the trace position).  ``on_event(name, time, index)`` additionally
     observes the serving events (``arrival`` / ``start`` / ``done`` /
     ``drop_admission`` / ``drop_timeout``) in simulated-time order —
     the hook the invariant tests use to check monotone time.
@@ -468,27 +463,32 @@ def serve(
     the caller owns offline preparation.
 
     Which path runs: when a :mod:`repro.core.fast` kernel covers the
-    policy (cold, exact class, equivalent mapping) and neither a
-    ``recorder``, an ``engine`` nor ``size_dist="etc"`` asks for the
-    referee, the run is on the kernel.  With the FIFO queue and no
-    ``queue_limit`` or ``timeout`` the cache stream is fixed before
-    the loop starts, so one kernel pass precomputes every request's
-    hit kind and service time; under SJF or drops the kernel is
-    stepped once per started request (:func:`repro.core.fast.stepper`),
-    and SJF reads its residency probe.  ``sim`` is the kernel's
-    :class:`SimResult`.  Everything else steps the referee ``Engine``
-    once per started request.  As with ``simulate(fast=True)``,
-    ``validate`` applies to the referee path only, and the kernel path
-    does not mutate ``policy``.  On the precomputed kernel path with
-    open-loop arrivals and no ``on_event``, start and finish times come
-    from arrays (:func:`_serve_arrays`) instead of the event loop,
-    unless an arrival coincides with a completion.  Every path gives
-    the same :meth:`ServingResult.fields` (``tests/test_serving_fast.py``,
+    policy (cold, exact class, equivalent mapping) and neither an
+    ``engine`` nor ``size_dist="etc"`` asks for the referee, the run
+    is on the kernel.  With the FIFO queue and no ``queue_limit`` or
+    ``timeout`` the cache stream is fixed before the loop starts, so
+    one kernel pass precomputes every request's hit kind and service
+    time; under SJF or drops the kernel is stepped once per started
+    request (:func:`repro.core.fast.stepper`), and SJF reads its
+    residency probe.  ``sim`` is the kernel's :class:`SimResult`.
+    Everything else steps the referee ``Engine``, which validates every
+    cache action, once per started request.  The kernel path does not
+    mutate ``policy``.  On the precomputed kernel path with open-loop
+    arrivals and no ``on_event``, start and finish times come from
+    arrays (:func:`_serve_arrays`) instead of the event loop, unless an
+    arrival coincides with a completion.  Every path gives the same
+    :meth:`ServingResult.fields` (``tests/test_serving_fast.py``,
     ``tests/test_serving_golden.py``).
+
+    An offline policy replays a future prepared in trace order, so it
+    needs requests started in trace order: under SJF, a
+    ``queue_limit`` or a ``timeout`` it raises
+    :class:`~repro.errors.ConfigurationError` before any arrival is
+    generated.
 
     The ``serve`` span records both choices: ``path="kernel"|"referee"``
     with the referee's ``fallback_reason`` (``"engine"``,
-    ``"observed"``, ``"etc-sizes"``, or a
+    ``"etc-sizes"``, or a
     :func:`~repro.core.fast.fast_fallback_reason` value), and
     ``loop="array"|"events"`` with the event loop's ``loop_reason``
     (``"sjf"``, ``"drops"``, ``"on_event"``, ``"closed-loop"``,
@@ -502,7 +502,8 @@ def serve(
     config = config if config is not None else ServingConfig()
     if engine is None:
         check_same_mapping(policy, trace)
-    reason = _referee_reason(policy, trace, config, engine, recorder)
+        _check_in_order(policy, config)
+    reason = _referee_reason(policy, trace, config, engine)
     if reason is None:
         return _serve(
             trace,
@@ -519,24 +520,15 @@ def serve(
             return engine
         if policy.is_offline:
             policy.prepare(trace)
-        return Engine(policy, trace.mapping, validate=validate, recorder=recorder)
+        return Engine(policy, trace.mapping)
 
-    return _serve(
-        trace, config, reason, None, open_engine, on_access, on_event, recorder
-    )
+    return _serve(trace, config, reason, None, open_engine, on_access, on_event)
 
 
 #: Kernel outcome code → :class:`HitKind` (indexed by ``KIND_*``).
-_CODE_KINDS: Tuple[HitKind, ...] = (
-    HitKind.MISS,
-    HitKind.TEMPORAL_HIT,
-    HitKind.SPATIAL_HIT,
+_CODE_KINDS: Tuple[HitKind, ...] = tuple(
+    sorted(KIND_CODE, key=KIND_CODE.__getitem__)
 )
-
-#: :class:`HitKind` → kernel outcome code.
-_KIND_CODES: Dict[HitKind, int] = {
-    kind: code for code, kind in enumerate(_CODE_KINDS)
-}
 
 #: ``step(index) -> (code, service_time)``: the cache access of request
 #: ``index`` (a ``KIND_*`` code) and its sampled service time, called
@@ -557,7 +549,6 @@ def _serve(
     open_cache: Callable[[], Any],
     on_access: Optional[Callable[[int, int, HitKind], None]],
     on_event: Optional[Callable[[str, float, int], None]],
-    recorder=None,
 ) -> ServingResult:
     """The serving run behind :func:`serve` and ``serve_cluster``.
 
@@ -587,9 +578,6 @@ def _serve(
             return 0.0
         return float(think_rng.exponential(think))
 
-    phase = (
-        recorder.phase("serve") if recorder is not None else contextlib.nullcontext()
-    )
     with spans.span(
         "serve",
         requests=n,
@@ -620,7 +608,7 @@ def _serve(
         with spans.span("serve.arrivals", process=config.arrival.process):
             if config.arrival.open_loop and n:
                 arrivals = generate_arrivals(config.arrival, n)
-        with phase, spans.span("serve.loop", requests=n):
+        with spans.span("serve.loop", requests=n):
             if loop_reason is None and not _serve_arrays(
                 result, config, arrivals, codes, service, trace.items, on_access
             ):
@@ -663,23 +651,19 @@ def _serve(
             sp.set("policy", result.sim.policy)
             sp.set("loop", "events" if loop_reason else "array")
             sp.set("loop_reason", loop_reason)
-    if recorder is not None:
-        recorder.finalize(result.sim)
     return result
 
 
 def _referee_reason(
-    policy, trace: Trace, config: ServingConfig, engine, recorder
+    policy, trace: Trace, config: ServingConfig, engine
 ) -> Optional[str]:
     """Why :func:`serve` steps the referee, or ``None`` for a kernel.
 
-    A recorder or a caller's engine observe the referee itself, and ETC
-    sizes weigh the exact load set, which kernels do not emit.
+    A caller's engine is the referee itself, and ETC sizes weigh the
+    exact load set, which kernels do not emit.
     """
     if engine is not None:
         return "engine"
-    if recorder is not None:
-        return "observed"
     if config.service.size_dist != "none":
         return "etc-sizes"
     return fast_fallback_reason(policy, trace)
@@ -696,6 +680,32 @@ def _stream_reason(config: ServingConfig) -> Optional[str]:
     if config.queue_limit is not None or config.timeout is not None:
         return "drops"
     return None
+
+
+def _check_in_order(policy, config: ServingConfig) -> None:
+    """Refuse an offline policy under a config that reorders requests.
+
+    An offline policy replays a future prepared in trace order, so SJF,
+    which starts requests out of order, and drops, which skip some,
+    would break it mid-run; this raises
+    :class:`~repro.errors.ConfigurationError` naming the field instead.
+    """
+    if not policy.is_offline:
+        return
+    if config.queue == "sjf":
+        field_name, value = "queue", config.queue
+    elif config.queue_limit is not None:
+        field_name, value = "queue_limit", config.queue_limit
+    elif config.timeout is not None:
+        field_name, value = "timeout", config.timeout
+    else:
+        return
+    name = getattr(policy, "name", type(policy).__name__)
+    raise ConfigurationError(
+        f"offline policy {name!r} needs requests served in trace order; "
+        f"ServingConfig.{field_name}={value!r} reorders or drops them "
+        f"(use queue='fifo' with no queue_limit or timeout)"
+    )
 
 
 def _loop_reason(config: ServingConfig, on_event) -> Optional[str]:
@@ -950,7 +960,7 @@ def _referee_step(
 
     def step(index: int) -> Tuple[int, float]:
         loaded_before = engine.result.loaded_items
-        code = _KIND_CODES[engine.access(items[index])]
+        code = KIND_CODE[engine.access(items[index])]
         if item_weights is None:
             loaded = engine.result.loaded_items - loaded_before
             return code, price(code, max(0, loaded - 1))

@@ -41,6 +41,7 @@ from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
 import numpy as np
 
+from repro.core.mapping import splitmix64
 from repro.core.rtc import DEFAULT_CHUNK, RtcFile, RtcWriter
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, TraceFormatError
@@ -564,17 +565,6 @@ class StreamingDensifier:
 _U64_MOD = 1 << 64
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer (stable across platforms/runs)."""
-    z = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z += np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    return z
-
-
 @dataclass(frozen=True)
 class ShardsSampler:
     """Spatially hashed (SHARDS-style) sampler at *block* granularity.
@@ -594,7 +584,7 @@ class ShardsSampler:
             raise ConfigurationError(f"sample rate must be in (0, 1], got {self.rate}")
         threshold = min(int(round(self.rate * _U64_MOD)), _U64_MOD - 1)
         object.__setattr__(self, "_threshold", np.uint64(threshold))
-        salt = int(_splitmix64(np.asarray([self.seed], dtype=np.uint64))[0])
+        salt = int(splitmix64(np.asarray([self.seed], dtype=np.uint64))[0])
         object.__setattr__(self, "_salt", np.uint64(salt))
 
     def keep_blocks(self, blocks: np.ndarray) -> np.ndarray:
@@ -602,7 +592,7 @@ class ShardsSampler:
         blocks = np.ascontiguousarray(blocks)
         if self.rate >= 1.0:
             return np.ones(blocks.shape, dtype=bool)
-        return _splitmix64(blocks.astype(np.uint64) ^ self._salt) < self._threshold
+        return splitmix64(blocks.astype(np.uint64) ^ self._salt) < self._threshold
 
     def keep_items(self, items: np.ndarray, block_size: int) -> np.ndarray:
         """Keep-mask for item ids under an aligned fixed-``B`` mapping."""

@@ -85,10 +85,10 @@ def _size_dependence(cache):
 )
 def test_driver_rows_equal_uncached_cold_and_warm(driver, tmp_path):
     uncached = driver(UNCACHED)
-    with CampaignCache(tmp_path, store_sync=False) as cold_cache:
+    with CampaignCache(tmp_path) as cold_cache:
         cold = driver(cold_cache)
     assert cold_cache.computed > 0
-    with CampaignCache(tmp_path, store_sync=False) as warm_cache:
+    with CampaignCache(tmp_path) as warm_cache:
         warm = driver(warm_cache)
     assert warm_cache.computed == 0
     assert warm_cache.hits == cold_cache.computed + cold_cache.hits
@@ -128,7 +128,7 @@ def test_mixed_batch_shares_one_kernel_traversal(stored, tmp_path, monkeypatch):
     monkeypatch.setattr(fast, "multi_policy_replay", spy)
     trace = _trace(length=1500)
     cells = [("item-lru", 16), ("belady-item", 16), ("gcm", 16), ("iblp", 16)]
-    cache = CampaignCache(tmp_path, store_sync=False) if stored else UNCACHED
+    cache = CampaignCache(tmp_path) if stored else UNCACHED
     with cache:
         results = cache.simulate_many(cells, trace)
     assert calls == [[("item-lru", 16), ("gcm", 16), ("iblp", 16)]]

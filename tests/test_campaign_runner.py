@@ -70,23 +70,21 @@ def campaign_rows(report):
 class TestBitIdentity:
     def test_serial_matches_sweep(self, tmp_path):
         spec = make_spec()
-        with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+        with CampaignRunner(tmp_path, spec) as runner:
             report = runner.run()
         assert report.complete
         assert campaign_rows(report) == sweep_rows(spec)
 
     def test_parallel_matches_sweep(self, tmp_path):
         spec = make_spec()
-        with CampaignRunner(
-            tmp_path, spec, parallel=True, max_workers=2, store_sync=False
-        ) as runner:
+        with CampaignRunner(tmp_path, spec, parallel=True, max_workers=2) as runner:
             report = runner.run()
         assert report.complete
         assert campaign_rows(report) == sweep_rows(spec)
 
     def test_referee_cells_match_sweep(self, tmp_path):
         spec = make_spec(policies=("item-lru",), capacities=(16,), fast=False)
-        with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+        with CampaignRunner(tmp_path, spec) as runner:
             report = runner.run()
         assert campaign_rows(report) == sweep_rows(spec)
 
@@ -94,10 +92,10 @@ class TestBitIdentity:
 class TestMemoStore:
     def test_identical_rerun_computes_zero_cells(self, tmp_path):
         spec = make_spec()
-        with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+        with CampaignRunner(tmp_path, spec) as runner:
             first = runner.run()
         assert first.computed == len(spec.cells)
-        with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+        with CampaignRunner(tmp_path, spec) as runner:
             second = runner.run()
         assert second.computed == 0
         assert second.memo_hits == len(spec.cells)
@@ -105,21 +103,17 @@ class TestMemoStore:
         assert campaign_rows(second) == campaign_rows(first)
 
     def test_changed_fast_flag_recomputes_all(self, tmp_path):
-        with CampaignRunner(tmp_path, make_spec(fast=True), store_sync=False) as r:
+        with CampaignRunner(tmp_path, make_spec(fast=True)) as r:
             r.run()
-        with CampaignRunner(tmp_path, make_spec(fast=False), store_sync=False) as r:
+        with CampaignRunner(tmp_path, make_spec(fast=False)) as r:
             report = r.run()
         assert report.computed == 4
         assert report.memo_hits == 0
 
     def test_widened_grid_recomputes_exactly_new_cells(self, tmp_path):
-        with CampaignRunner(
-            tmp_path, make_spec(capacities=(16, 64)), store_sync=False
-        ) as r:
+        with CampaignRunner(tmp_path, make_spec(capacities=(16, 64))) as r:
             r.run()
-        with CampaignRunner(
-            tmp_path, make_spec(capacities=(16, 64, 256)), store_sync=False
-        ) as r:
+        with CampaignRunner(tmp_path, make_spec(capacities=(16, 64, 256))) as r:
             report = r.run()
         assert report.memo_hits == 4  # the overlapping cells
         assert report.computed == 2  # only capacity=256, one per policy
@@ -134,7 +128,7 @@ class TestMemoStore:
             traces={"u": TRACE},
             policy_kwargs={"seed": 0},
         )
-        with CampaignRunner(tmp_path, base, store_sync=False) as r:
+        with CampaignRunner(tmp_path, base) as r:
             assert r.run().computed == 1
         reseeded = CampaignSpec.from_grid(
             name="t",
@@ -143,7 +137,7 @@ class TestMemoStore:
             traces={"u": TRACE},
             policy_kwargs={"seed": 1},
         )
-        with CampaignRunner(tmp_path, reseeded, store_sync=False) as r:
+        with CampaignRunner(tmp_path, reseeded) as r:
             report = r.run()
         assert report.computed == 1
         assert report.memo_hits == 0
@@ -154,7 +148,7 @@ class TestMemoStore:
             name="uniform",
             params={**TRACE.params, "seed": 4},
         )
-        with CampaignRunner(tmp_path, make_spec(), store_sync=False) as r:
+        with CampaignRunner(tmp_path, make_spec()) as r:
             r.run()
         changed = CampaignSpec.from_grid(
             name="t",
@@ -162,7 +156,7 @@ class TestMemoStore:
             capacities=[16, 64],
             traces={"u": other_trace},
         )
-        with CampaignRunner(tmp_path, changed, store_sync=False) as r:
+        with CampaignRunner(tmp_path, changed) as r:
             report = r.run()
         assert report.computed == 4
         assert report.memo_hits == 0
@@ -187,7 +181,6 @@ class TestRetryAndQuarantine:
             spec,
             retry=RetryPolicy(max_attempts=3, backoff_base=0.25, backoff_factor=4.0),
             sleep=sleeps.append,
-            store_sync=False,
         ) as runner:
             report = runner.run()
         assert report.complete
@@ -219,7 +212,6 @@ class TestRetryAndQuarantine:
             tmp_path,
             spec,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
-            store_sync=False,
         ) as runner:
             report = runner.run()
         assert not report.complete
@@ -247,10 +239,10 @@ class TestRetryAndQuarantine:
             ],
         )
         retry = RetryPolicy(max_attempts=2, backoff_base=0.0)
-        with CampaignRunner(tmp_path, spec, retry=retry, store_sync=False) as r:
+        with CampaignRunner(tmp_path, spec, retry=retry) as r:
             assert len(r.run().quarantined) == 1
         # Resume (spec loaded from the directory): fresh attempt budget.
-        with CampaignRunner(tmp_path, retry=retry, store_sync=False) as r:
+        with CampaignRunner(tmp_path, retry=retry) as r:
             report = r.run()
         assert len(report.quarantined) == 1
         assert report.attempts == 2
@@ -277,7 +269,6 @@ class TestRetryAndQuarantine:
             parallel=True,
             max_workers=2,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.01),
-            store_sync=False,
         ) as runner:
             report = runner.run()
         assert len(report.done) == 2
@@ -307,7 +298,6 @@ class TestWorkerCrashInjection:
             parallel=True,
             max_workers=2,
             retry=RetryPolicy(max_attempts=3, backoff_base=0.01),
-            store_sync=False,
         ) as runner:
             report = runner.run()
         assert report.complete
@@ -336,7 +326,6 @@ class TestWorkerCrashInjection:
             parallel=True,
             max_workers=2,
             retry=RetryPolicy(max_attempts=1, timeout=0.5, backoff_base=0.0),
-            store_sync=False,
         ) as runner:
             report = runner.run()
         assert time.monotonic() - t0 < 30  # nowhere near the 60s hang
@@ -352,9 +341,7 @@ class TestTelemetry:
 
         recorder = Recorder()
         spec = make_spec(policies=("item-lru",), capacities=(16,))
-        with CampaignRunner(
-            tmp_path, spec, recorder=recorder, store_sync=False
-        ) as runner:
+        with CampaignRunner(tmp_path, spec, recorder=recorder) as runner:
             runner.run()
         assert set(recorder.phase_seconds) == {"plan", "execute"}
         reg = recorder.registry
@@ -362,9 +349,7 @@ class TestTelemetry:
         assert reg.counter("campaign_computed").value == 1
         assert reg.counter("campaign_memo_hits").value == 0
         # Second run: everything memoized, hit ratio goes to 1.
-        with CampaignRunner(
-            tmp_path, spec, recorder=recorder, store_sync=False
-        ) as runner:
+        with CampaignRunner(tmp_path, spec, recorder=recorder) as runner:
             runner.run()
         assert reg.counter("campaign_memo_hits").value == 1
         assert reg.gauge("campaign_memo_hit_ratio").value == 1.0
@@ -391,7 +376,7 @@ class TestCampaignCache:
 
         trace = TRACE.materialize()
         direct = simulate(make_policy("iblp", 32, trace.mapping), trace)
-        with CampaignCache(tmp_path, store_sync=False) as cache:
+        with CampaignCache(tmp_path) as cache:
             (first,) = cache.simulate_many([("iblp", 32)], trace, fast=False)
             (second,) = cache.simulate_many([("iblp", 32)], trace, fast=False)
         assert first == direct
@@ -402,7 +387,7 @@ class TestCampaignCache:
 
     def test_kwargs_and_fast_key_the_cache(self, tmp_path):
         trace = TRACE.materialize()
-        with CampaignCache(tmp_path, store_sync=False) as cache:
+        with CampaignCache(tmp_path) as cache:
             cache.simulate_many([("gcm", 32, {"seed": 0})], trace, fast=False)
             cache.simulate_many([("gcm", 32, {"seed": 1})], trace, fast=False)
             cache.simulate_many([("gcm", 32, {"seed": 0})], trace)
@@ -411,10 +396,10 @@ class TestCampaignCache:
 
     def test_shares_store_with_runner(self, tmp_path):
         spec = make_spec(policies=("item-lru",), capacities=(16,))
-        with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+        with CampaignRunner(tmp_path, spec) as runner:
             runner.run()
         trace = TRACE.materialize()
-        with CampaignCache(tmp_path, store_sync=False) as cache:
+        with CampaignCache(tmp_path) as cache:
             cache.simulate_many([("item-lru", 16)], trace)
         assert cache.hits == 1
         assert cache.computed == 0
@@ -452,10 +437,10 @@ class TestCampaignCache:
 
     def test_runner_serving_and_cluster_cells_hit_the_cache(self, tmp_path):
         spec, through_cache = self._served_and_sharded()
-        with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+        with CampaignRunner(tmp_path, spec) as runner:
             report = runner.run()
         assert report.computed == 3
-        with CampaignCache(tmp_path, store_sync=False) as cache:
+        with CampaignCache(tmp_path) as cache:
             got = through_cache(cache, TRACE.materialize())
         assert cache.hits == 3 and cache.computed == 0
         assert [r.fields() for r in got] == [
@@ -464,10 +449,10 @@ class TestCampaignCache:
 
     def test_cache_serving_and_cluster_cells_hit_the_runner(self, tmp_path):
         spec, through_cache = self._served_and_sharded()
-        with CampaignCache(tmp_path, store_sync=False) as cache:
+        with CampaignCache(tmp_path) as cache:
             got = through_cache(cache, TRACE.materialize())
         assert cache.computed == 3
-        with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+        with CampaignRunner(tmp_path, spec) as runner:
             report = runner.run()
         assert report.memo_hits == 3 and report.computed == 0
         assert [o.result.fields() for o in report.outcomes] == [

@@ -122,10 +122,10 @@ def test_campaign_runner_executes_and_memoizes_cluster_cells(tmp_path):
         traces=traces,
         clusters=[ClusterSpec(n_shards=2).as_dict()],
     )
-    with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+    with CampaignRunner(tmp_path, spec) as runner:
         first = runner.run()
     assert first.computed == 1 and first.failures == 0 and first.complete
-    with CampaignRunner(tmp_path, spec, store_sync=False) as runner:
+    with CampaignRunner(tmp_path, spec) as runner:
         resumed = runner.run()
     assert resumed.memo_hits == 1 and resumed.computed == 0
 

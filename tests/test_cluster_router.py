@@ -4,9 +4,8 @@ The load-bearing guarantee is the *block-aware* scheme's: a block is
 never split across shards, for any shard count, seed, or vnode count —
 that is what preserves spatial locality under sharding.  The rest pins
 determinism (same spec ⇒ same routing), the exactly-once partition
-property of :meth:`ShardRouter.split`, and the derived sub-trace
-fingerprints (satellite of the memoization story: splitting must not
-rehash trace payloads).
+property of :meth:`ShardRouter.split`, and that a sub-trace is
+fingerprinted like any trace over the same items.
 """
 
 import numpy as np
@@ -15,12 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, replay_cluster
-from repro.cluster.router import (
-    SCHEMES,
-    RoutingPlan,
-    ShardRouter,
-    derived_fingerprint,
-)
+from repro.cluster.router import SCHEMES, RoutingPlan, ShardRouter
 from repro.core.mapping import FixedBlockMapping
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
@@ -103,23 +97,12 @@ def test_hash_seed_changes_block_placement_not_integrity():
     assert b.block_split_stats(tr)["blocks_split"] == 0
 
 
-def test_derived_fingerprints_are_stable_distinct_and_cheap():
+def test_subtrace_fingerprint_equals_fresh_trace():
     tr = zipf_items(length=3000, universe=512, alpha=1.0, block_size=8, seed=2)
-    router = ShardRouter(n_shards=4, scheme="block")
-    plan = router.split(tr)
-    fps = [sub.fingerprint() for sub in plan.subtraces]
-    assert len(set(fps)) == len(fps)
-    assert tr.fingerprint() not in fps
-    # Stable: re-splitting reproduces the same derived fingerprints
-    # without rehashing sub-trace payloads (they come from the parent
-    # fingerprint + routing identity + shard id).
-    again = [sub.fingerprint() for sub in router.split(tr).subtraces]
-    assert again == fps
-    expected = derived_fingerprint(tr.fingerprint(), router.identity_json(), 2)
-    assert fps[2] == expected
-    # A different routing identity derives different sub-fingerprints.
-    other = ShardRouter(n_shards=4, scheme="item").split(tr)
-    assert [s.fingerprint() for s in other.subtraces] != fps
+    for scheme in SCHEMES:
+        for sub in ShardRouter(n_shards=4, scheme=scheme).split(tr).subtraces:
+            fresh = Trace(sub.items.copy(), tr.mapping)
+            assert sub.fingerprint() == fresh.fingerprint()
 
 
 def test_unknown_scheme_rejected():

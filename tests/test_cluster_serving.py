@@ -23,6 +23,7 @@ from repro.cluster.serving_bridge import ClusterEngine, serve_cluster
 from repro.core.engine import Engine
 from repro.core.mapping import FixedBlockMapping
 from repro.core.trace import Trace
+from repro.errors import ConfigurationError
 from repro.serving import (
     ArrivalSpec,
     ServiceModel,
@@ -231,4 +232,50 @@ def test_cluster_serve_span_names_the_path(tmp_path, policy, service, path, reas
     records = [json.loads(line) for line in out.read_text().splitlines()]
     (attrs,) = [r["attrs"] for r in records if r.get("name") == "cluster.serve"]
     assert (attrs["path"], attrs["fallback_reason"]) == (path, reason)
+    assert result.completions == len(tr)
+
+
+def _serve_single(policy, tr, cfg):
+    return serve_policy(policy, CAPACITY, tr, cfg)
+
+
+def _serve_sharded(policy, tr, cfg):
+    return serve_cluster(policy, CAPACITY, tr, ClusterSpec(n_shards=4), cfg)
+
+
+@pytest.mark.parametrize("entry", [_serve_single, _serve_sharded])
+@pytest.mark.parametrize(
+    "stream, field",
+    [
+        ({"queue": "sjf"}, "queue"),
+        ({"queue_limit": 1}, "queue_limit"),
+        ({"timeout": 25.0}, "timeout"),
+    ],
+)
+@pytest.mark.parametrize("policy", ["belady-item", "belady-block"])
+def test_offline_policy_out_of_order_is_refused_up_front(
+    monkeypatch, entry, stream, field, policy
+):
+    import repro.serving.service as service
+
+    def no_arrivals(*args, **kwargs):
+        raise AssertionError("arrivals generated before the config was refused")
+
+    monkeypatch.setattr(service, "generate_arrivals", no_arrivals)
+    cfg = dataclasses.replace(config(rate=0.06), **stream)
+    with pytest.raises(ConfigurationError, match=f"{policy}.*ServingConfig.{field}="):
+        entry(policy, trace(), cfg)
+
+
+@pytest.mark.parametrize("entry", [_serve_single, _serve_sharded])
+@pytest.mark.parametrize(
+    "arrival",
+    [
+        ArrivalSpec(process="poisson", rate=0.06, seed=2),
+        ArrivalSpec(process="closed", clients=5, think=10.0, seed=1),
+    ],
+)
+def test_offline_policy_still_serves_fifo_without_drops(entry, arrival):
+    tr = trace()
+    result = entry("belady-item", tr, dataclasses.replace(config(), arrival=arrival))
     assert result.completions == len(tr)

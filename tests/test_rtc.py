@@ -243,10 +243,10 @@ def test_campaign_resume_recomputes_zero_cells(tmp_path):
         fast=True,
     )
     camp_dir = tmp_path / "camp"
-    with CampaignRunner(camp_dir, spec, store_sync=False) as runner:
+    with CampaignRunner(camp_dir, spec) as runner:
         first = runner.run()
     assert first.computed == 4 and first.memo_hits == 0
-    with CampaignRunner(camp_dir, spec, store_sync=False) as runner:
+    with CampaignRunner(camp_dir, spec) as runner:
         second = runner.run()
     assert second.computed == 0 and second.memo_hits == 4
     rows_first = sorted(
@@ -271,7 +271,7 @@ def test_campaign_parallel_over_rtc(tmp_path):
         fast=True,
     )
     with CampaignRunner(
-        tmp_path / "camp", spec, parallel=True, max_workers=2, store_sync=False
+        tmp_path / "camp", spec, parallel=True, max_workers=2
     ) as runner:
         report = runner.run()
     assert report.computed == 2 and not report.quarantined
@@ -295,9 +295,7 @@ def _mixed_spec(rtc_path):
 
 
 def _run_rows(directory, spec, parallel):
-    with CampaignRunner(
-        directory, spec, parallel=parallel, max_workers=2, store_sync=False
-    ) as runner:
+    with CampaignRunner(directory, spec, parallel=parallel, max_workers=2) as runner:
         report = runner.run()
     assert not report.quarantined
     return report.rows()

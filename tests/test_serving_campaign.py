@@ -80,9 +80,9 @@ class TestSeededDeterminism:
 
     def test_campaign_runs_bit_identical(self, tmp_path):
         spec = make_spec()
-        with CampaignRunner(tmp_path / "a", spec, store_sync=False) as runner:
+        with CampaignRunner(tmp_path / "a", spec) as runner:
             a = runner.run()
-        with CampaignRunner(tmp_path / "b", spec, store_sync=False) as runner:
+        with CampaignRunner(tmp_path / "b", spec) as runner:
             b = runner.run()
         assert a.complete and b.complete
         assert stored_payloads(a) == stored_payloads(b)
@@ -95,9 +95,7 @@ class TestServingCrashResume:
         self, tmp_path, monkeypatch
     ):
         spec = make_spec()
-        with CampaignRunner(
-            tmp_path / "clean", spec, store_sync=False
-        ) as runner:
+        with CampaignRunner(tmp_path / "clean", spec) as runner:
             clean = runner.run()
         real = runner_mod.execute_cell
         marker = tmp_path / "died-once"
@@ -115,7 +113,6 @@ class TestServingCrashResume:
             parallel=True,
             max_workers=2,
             retry=RetryPolicy(max_attempts=3, backoff_base=0.01),
-            store_sync=False,
         ) as runner:
             report = runner.run()
         assert marker.exists()
@@ -132,9 +129,7 @@ class TestServingCrashResume:
         resume recomputes only the missing cell and the final payloads
         are bit-identical to an uninterrupted run."""
         spec = make_spec()
-        with CampaignRunner(
-            tmp_path / "clean", spec, store_sync=False
-        ) as runner:
+        with CampaignRunner(tmp_path / "clean", spec) as runner:
             clean = runner.run()
         real = runner_mod.execute_cell
 
@@ -150,15 +145,12 @@ class TestServingCrashResume:
             parallel=True,
             max_workers=2,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.01),
-            store_sync=False,
         ) as runner:
             interrupted = runner.run()
         assert len(interrupted.quarantined) == 1
         assert len(interrupted.done) == 1
         monkeypatch.setattr(runner_mod, "execute_cell", real)
-        with CampaignRunner(
-            tmp_path / "camp", parallel=True, max_workers=2, store_sync=False
-        ) as runner:
+        with CampaignRunner(tmp_path / "camp", parallel=True, max_workers=2) as runner:
             resumed = runner.run()
         assert resumed.complete
         assert resumed.memo_hits == 1  # the cell that survived run 1
@@ -206,16 +198,12 @@ class TestServingConfigInContentAddress:
         )
 
     def test_changed_arrival_rate_never_reuses_stale_cells(self, tmp_path):
-        with CampaignRunner(
-            tmp_path, make_spec(rate=0.02), store_sync=False
-        ) as runner:
+        with CampaignRunner(tmp_path, make_spec(rate=0.02)) as runner:
             first = runner.run()
         assert first.complete and first.computed == 2
         # Re-point the same directory at a different arrival rate: the
         # store holds rate=0.02 rows, but every cell must recompute.
-        with CampaignRunner(
-            tmp_path, make_spec(rate=0.03), store_sync=False
-        ) as runner:
+        with CampaignRunner(tmp_path, make_spec(rate=0.03)) as runner:
             second = runner.run()
         assert second.complete
         assert second.memo_hits == 0
@@ -223,9 +211,7 @@ class TestServingConfigInContentAddress:
         rate_cols = {row["offered_rate"] for row in collect_rows(tmp_path)}
         assert rate_cols == {0.03 * 1.0}
         # Same rate again: now it memoizes.
-        with CampaignRunner(
-            tmp_path, make_spec(rate=0.03), store_sync=False
-        ) as runner:
+        with CampaignRunner(tmp_path, make_spec(rate=0.03)) as runner:
             third = runner.run()
         assert third.memo_hits == 2 and third.computed == 0
 
@@ -237,9 +223,7 @@ class TestServingConfigInContentAddress:
 
         from repro.campaign.cli import run_campaign_command
 
-        with CampaignRunner(
-            tmp_path, make_spec(rate=0.02), store_sync=False
-        ) as runner:
+        with CampaignRunner(tmp_path, make_spec(rate=0.02)) as runner:
             runner.run()
         assert len(collect_rows(tmp_path)) == 2
         # Save a respec'd grid without running it.
