@@ -15,9 +15,10 @@ GC setting's two granularities:
   one-pass shortcut exists — the engine run is the honest tool).
 
 Stack distances are computed by the array-oriented offline kernel in
-:mod:`repro.core.fast` (a mergesort-style inversion count, O(T log T)
-with numpy-vectorized levels); this module keeps the analysis-facing
-API and the curve/grid constructions on top of it.
+:mod:`repro.core.fast` (a mergesort-style dominance count with
+numpy-vectorized levels, run over the warm run heads only); this
+module keeps the analysis-facing API and the curve/grid constructions
+on top of it.
 """
 
 from __future__ import annotations

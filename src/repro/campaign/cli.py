@@ -37,17 +37,13 @@ from repro.campaign.spec import (
 )
 from repro.campaign.store import ResultStore
 from repro.errors import ConfigurationError
-from repro.obs.cli import csv_list
+from repro.obs.cli import csv_list, int_list
 
 __all__ = [
     "add_campaign_parser",
     "run_campaign_command",
     "collect_rows",
 ]
-
-
-def _int_list(text: str) -> List[int]:
-    return [int(part) for part in csv_list(text)]
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,7 +84,7 @@ def add_campaign_parser(sub: argparse._SubParsersAction) -> None:
     )
     p_run.add_argument(
         "--capacity",
-        type=_int_list,
+        type=int_list,
         required=True,
         metavar="K1,K2,...",
         help="comma-separated cache capacities",
@@ -112,7 +108,7 @@ def add_campaign_parser(sub: argparse._SubParsersAction) -> None:
     p_run.add_argument("--stay", type=float, default=0.8)
     p_run.add_argument(
         "--seed",
-        type=_int_list,
+        type=int_list,
         default=[0],
         metavar="S1,S2,...",
         help="comma-separated seeds (one trace per seed)",

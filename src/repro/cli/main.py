@@ -31,7 +31,13 @@ from repro.campaign.cli import add_campaign_parser, run_campaign_command
 from repro.cluster.cli import add_cluster_parser, run_cluster_command
 from repro.core.engine import simulate as run_simulation
 from repro.errors import ConfigurationError
-from repro.obs.cli import add_obs_parser, run_obs_command
+from repro.obs.cli import (
+    add_obs_parser,
+    csv_list,
+    float_list,
+    int_list,
+    run_obs_command,
+)
 from repro.locality.profile import profile_trace
 from repro.policies import make_policy, policy_names
 from repro.workloads import (
@@ -228,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_lvl.add_argument("--capacity", type=int, default=256)
     p_lvl.add_argument(
         "--loads",
-        type=lambda s: [float(x) for x in s.split(",")],
+        type=float_list,
         default=None,
         help="comma-separated loads as fractions of all-miss capacity",
     )
     p_lvl.add_argument(
         "--policies",
-        type=lambda s: [p.strip() for p in s.split(",") if p.strip()],
+        type=csv_list,
         default=None,
         help="comma-separated registry policy names",
     )
@@ -246,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lvl.add_argument(
         "--shards",
-        type=lambda s: [int(x) for x in s.split(",")],
+        type=int_list,
         default=None,
         help="comma-separated shard counts: dispatch requests across an "
         "N-shard cluster at every load point (with --schemes)",
     )
     p_lvl.add_argument(
         "--schemes",
-        type=lambda s: [x.strip() for x in s.split(",") if x.strip()],
+        type=csv_list,
         default=None,
         help="comma-separated hash schemes for --shards "
         "(default block,item)",
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mrc.add_argument("--workload", choices=sorted(_WORKLOADS), required=True)
     p_mrc.add_argument(
         "--capacities",
-        type=lambda s: [int(x) for x in s.split(",")],
+        type=int_list,
         default=[16, 64, 256, 1024],
         help="comma-separated capacities",
     )

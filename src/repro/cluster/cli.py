@@ -27,6 +27,7 @@ from typing import Callable, Dict
 
 from repro.analysis.tables import format_table
 from repro.core.trace import Trace
+from repro.obs.cli import csv_list, int_list
 from repro.workloads import (
     block_runs,
     etc_kv_workload,
@@ -127,19 +128,19 @@ def add_cluster_parser(sub) -> None:
     p_sp.add_argument("--capacity", type=int, default=256)
     p_sp.add_argument(
         "--shards",
-        type=lambda s: [int(x) for x in s.split(",")],
+        type=int_list,
         default=None,
         help="comma-separated shard counts (default 1,2,4,8,16)",
     )
     p_sp.add_argument(
         "--schemes",
-        type=lambda s: [x.strip() for x in s.split(",") if x.strip()],
+        type=csv_list,
         default=None,
         help="comma-separated hash schemes (default block,item)",
     )
     p_sp.add_argument(
         "--policies",
-        type=lambda s: [x.strip() for x in s.split(",") if x.strip()],
+        type=csv_list,
         default=None,
         help="comma-separated policies; the first is granularity-aware, "
         "the second the baseline for the gap column (default iblp,item-lru)",

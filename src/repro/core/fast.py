@@ -1688,6 +1688,13 @@ def _batch_result(
 # capacity k hits access t iff 0 <= dist[t] < k, so one pass prices
 # every capacity simultaneously.
 #
+# Spatial locality makes most traces runs of one id (at block
+# granularity, most accesses touch the previous access's block).  An
+# access equal to its predecessor has distance 0, and collapsing every
+# run to its head keeps the distinct ids of every window, so the heads
+# keep their distances.  The derivation below therefore runs over the
+# run heads only (positions and prev in head coordinates).
+#
 # Let prev[t] be the position of the previous access to ids[t] (-1 when
 # cold).  Positions s in the window (prev[t], t) contribute one distinct
 # id each unless they are themselves repeats *within* the window, i.e.
@@ -1700,7 +1707,11 @@ def _batch_result(
 # and the problem reduces to counting, per element, earlier elements
 # with a greater value — a dominance count done here with a bottom-up
 # mergesort sweep in numpy (log T levels of whole-array sorts and
-# searchsorteds) instead of a per-access Fenwick loop.
+# searchsorteds) instead of a per-access Fenwick loop.  A cold head's
+# prev = -1 is never greater than a warm head's, so cold heads add
+# nothing to any count and are dropped first: the count runs over the
+# W warm run heads, O(W log^2 W), plus O(T) to find the runs and
+# O(R log R) to find each of the R heads' previous occurrence.
 
 
 def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
@@ -1785,24 +1796,41 @@ def _prev_occurrence(arr: np.ndarray) -> np.ndarray:
     return prev
 
 
+def _run_heads(arr: np.ndarray) -> np.ndarray:
+    """Positions of the accesses that differ from their predecessor."""
+    n = int(arr.size)
+    starts = np.ones(n, dtype=bool)
+    if n:
+        np.not_equal(arr[1:], arr[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def stack_distances(ids: Sequence[int] | np.ndarray) -> np.ndarray:
     """LRU reuse (stack) distance of each access; cold accesses get -1.
 
     ``distance[t]`` is the number of distinct ids seen since the
     previous access to ``ids[t]``; an LRU cache of capacity ``k`` hits
-    access ``t`` iff ``0 <= distance[t] < k``.  Fully vectorized — see
-    the derivation above :func:`_count_earlier_greater`.
+    access ``t`` iff ``0 <= distance[t] < k``.  Fully vectorized; the
+    dominance count covers warm run heads only — see the derivation
+    above :func:`_count_earlier_greater`.
     """
     arr = np.asarray(ids, dtype=np.int64)
     n = int(arr.size)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     with spans.span("fast.mattson", accesses=n):
-        prev = _prev_occurrence(arr)
-        out = (
-            np.arange(n, dtype=np.int64) - prev - 1 - _count_earlier_greater(prev)
-        )
-        out[prev < 0] = -1
+        heads = _run_heads(arr)
+        runs = int(heads.size)
+        prev = _prev_occurrence(arr if runs == n else arr[heads])
+        warm = np.flatnonzero(prev >= 0)
+        spans.annotate(run_heads=runs, warm=int(warm.size))
+        warm_prev = prev[warm]
+        dist = np.full(runs, -1, dtype=np.int64)
+        dist[warm] = warm - warm_prev - 1 - _count_earlier_greater(warm_prev)
+        if runs == n:
+            return dist
+        out = np.zeros(n, dtype=np.int64)
+        out[heads] = dist
     return out
 
 
@@ -1817,7 +1845,7 @@ def _uniform_block_size(trace: Trace) -> Optional[int]:
     bt = trace.block_trace()
     if bt.size == 0:
         return int(trace.mapping.max_block_size)
-    blocks = np.unique(bt)
+    blocks = np.unique(bt[_run_heads(bt)])
     mapping = trace.mapping
     if isinstance(mapping, FixedBlockMapping):
         B = mapping.max_block_size
@@ -1839,6 +1867,23 @@ def _valid_capacities(capacities: Sequence[int]) -> bool:
     )
 
 
+def _slot_size(
+    policy_name: str, trace: Trace, capacities: Sequence[int]
+) -> Optional[int]:
+    """Items per cache slot of a batched replay (1 for Item-LRU, the
+    common block size for Block-LRU), or ``None`` when not covered."""
+    if policy_name not in MULTI_CAPACITY_POLICIES:
+        return None
+    if not _valid_capacities(capacities):
+        return None
+    if policy_name == "item-lru":
+        return 1
+    size = _uniform_block_size(trace)
+    if size is None or min(capacities) < size:
+        return None
+    return size
+
+
 def multi_capacity_supported(
     policy_name: str, trace: Trace, capacities: Sequence[int]
 ) -> bool:
@@ -1851,15 +1896,7 @@ def multi_capacity_supported(
     exactly ``k // S`` blocks); ragged partitions or sub-block
     capacities fall back to per-capacity replay.
     """
-    if policy_name not in MULTI_CAPACITY_POLICIES:
-        return False
-    if not _valid_capacities(capacities):
-        return False
-    if policy_name == "block-lru":
-        size = _uniform_block_size(trace)
-        if size is None or min(capacities) < size:
-            return False
-    return True
+    return _slot_size(policy_name, trace, capacities) is not None
 
 
 def _multi_capacity_item_lru(
@@ -1893,48 +1930,60 @@ def _multi_capacity_item_lru(
 
 
 def _multi_capacity_block_lru(
-    trace: Trace, caps: List[int], record: Optional[Dict[int, List[int]]]
+    trace: Trace,
+    caps: List[int],
+    size: int,
+    record: Optional[Dict[int, List[int]]],
 ) -> Dict[int, SimResult]:
     n = int(trace.items.size)
-    size = _uniform_block_size(trace)
-    assert size is not None and (not caps or min(caps) >= size)
     bt = trace.block_trace()
-    bdist = stack_distances(bt)
+    heads = _run_heads(bt)
+    runs = int(heads.size)
+    # Run heads grouped by block, time-ascending within each group; the
+    # per-capacity "last reload" scans run in this layout, where each
+    # block owns a disjoint key range (positions offset by ``base``).
+    order = np.argsort(bt[heads], kind="stable")
+    head_pos = heads[order]
+    # Every capacity holds at least one block, so an access in the same
+    # block as its predecessor always hits: only run heads can miss,
+    # and the taxonomy below is priced once per block run.
+    bdist = stack_distances(bt)[head_pos]
     p_item = _prev_occurrence(trace.items)
     distinct_blocks = int((bdist < 0).sum())
-    # Accesses grouped by block, time-ascending within each group; the
-    # per-capacity "last reload before t" scan runs in this layout.
-    order = np.argsort(bt, kind="stable")
-    grp_start = np.empty(n, dtype=bool)
-    if n:
-        grp_start[0] = True
-        grp_start[1:] = bt[order][1:] != bt[order][:-1]
-    rank = np.cumsum(grp_start) - 1
-    base = rank * (n + 1)  # disjoint per-group key ranges
-    p_item_sorted = p_item[order]
+    grp_start = np.ones(runs, dtype=bool)
+    grp_start[1:] = bt[head_pos[1:]] != bt[head_pos[:-1]]
+    base = (np.cumsum(grp_start) - 1) * (n + 1)
+    head_key = head_pos + base
+    no_reload = base - 1
+    floor = no_reload[grp_start]
+    p_head = p_item[head_pos] + base
+    # A run's tail accesses all hit and read its head's grouped slot.
+    tails = np.ones(n, dtype=bool)
+    tails[heads] = False
+    slot = np.empty(runs, dtype=np.int64)
+    slot[order] = np.arange(runs, dtype=np.int64)
+    tail_slot = np.repeat(slot, np.diff(heads, append=n) - 1)
+    p_tail = p_item[tails] + base[tail_slot]
     out: Dict[int, SimResult] = {}
     for k in caps:
         slots = k // size
         miss = (bdist < 0) | (bdist >= slots)
         misses = int(miss.sum())
-        # L[t] = position of the latest same-block miss (block reload)
-        # strictly before t; every hit has one, since a resident block
-        # was necessarily loaded by an earlier miss.  Segmented running
-        # max over the grouped layout, shifted by one slot so each
-        # access sees only strictly-earlier reloads.
-        key = np.where(miss[order], order, -1) + base
-        shifted = np.empty(n, dtype=np.int64)
-        if n:
-            shifted[0] = base[0] - 1
-            shifted[1:] = key[:-1]
-            shifted[grp_start] = base[grp_start] - 1
-        last_reload = np.maximum.accumulate(shifted) - base
+        # upto[r] = key of the latest same-block miss (block reload) at
+        # or before head r; before[r] the latest strictly before it,
+        # which every hit has, since a resident block was necessarily
+        # loaded by an earlier miss.  Segmented running max over the
+        # grouped layout.
+        upto = np.maximum.accumulate(np.where(miss, head_key, no_reload))
+        before = np.empty(runs, dtype=np.int64)
+        before[1:] = upto[:-1]
+        before[grp_start] = floor
         # Spatial hit iff the item's own previous access predates the
         # block's latest reload: the item rode in as a side-load and
         # this is its first touch since (the referee's pending set).
-        hit_sorted = ~miss[order]
-        spatial_sorted = hit_sorted & (p_item_sorted < last_reload)
-        spatial = int(spatial_sorted.sum())
+        spatial_head = ~miss & (p_head < before)
+        spatial_tail = p_tail < upto[tail_slot]
+        spatial = int(spatial_head.sum()) + int(spatial_tail.sum())
         temporal = n - misses - spatial
         loaded = misses * size
         evicted = loaded - size * min(distinct_blocks, slots)
@@ -1950,13 +1999,13 @@ def _multi_capacity_block_lru(
             evicted=evicted,
         )
         if record is not None:
-            codes_sorted = np.where(
-                ~hit_sorted,
-                KIND_MISS,
-                np.where(spatial_sorted, KIND_SPATIAL, KIND_TEMPORAL),
-            )
             codes = np.empty(n, dtype=np.int64)
-            codes[order] = codes_sorted
+            codes[head_pos] = np.where(
+                spatial_head,
+                KIND_SPATIAL,
+                np.where(miss, KIND_MISS, KIND_TEMPORAL),
+            )
+            codes[tails] = np.where(spatial_tail, KIND_SPATIAL, KIND_TEMPORAL)
             record[k] = codes.tolist()
     return out
 
@@ -1980,7 +2029,8 @@ def multi_capacity_replay(
     Raises :class:`ConfigurationError` when the configuration is not
     supported — gate calls with :func:`multi_capacity_supported`.
     """
-    if not multi_capacity_supported(policy_name, trace, capacities):
+    size = _slot_size(policy_name, trace, capacities)
+    if size is None:
         raise ConfigurationError(
             f"multi-capacity replay does not cover policy={policy_name!r} "
             f"capacities={list(capacities)!r} on this trace "
@@ -1994,7 +2044,7 @@ def multi_capacity_replay(
     ):
         if policy_name == "item-lru":
             return _multi_capacity_item_lru(trace, caps, record)
-        return _multi_capacity_block_lru(trace, caps, record)
+        return _multi_capacity_block_lru(trace, caps, size, record)
 
 
 # -- single-pass multi-policy replay -----------------------------------------

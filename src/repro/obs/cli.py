@@ -28,6 +28,16 @@ def csv_list(text: str) -> List[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def int_list(text: str) -> List[int]:
+    """A comma-separated argument as integers (blank parts skipped)."""
+    return [int(part) for part in csv_list(text)]
+
+
+def float_list(text: str) -> List[float]:
+    """A comma-separated argument as floats (blank parts skipped)."""
+    return [float(part) for part in csv_list(text)]
+
+
 def add_obs_parser(sub: argparse._SubParsersAction) -> None:
     """Attach the ``obs`` subparser tree to the main CLI."""
     p = sub.add_parser(

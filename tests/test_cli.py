@@ -243,3 +243,49 @@ def test_simulate_trace_file(tmp_path, capsys):
 def test_simulate_requires_some_source():
     with pytest.raises(SystemExit):
         main(["simulate", "--policy", "iblp", "--capacity", "16"])
+
+
+@pytest.mark.parametrize(
+    "argv, field, want",
+    [
+        (["latency-vs-load", "--loads", "0.5,"], "loads", [0.5]),
+        (["latency-vs-load", "--loads", " 0.25 , 0.75 "], "loads", [0.25, 0.75]),
+        (["latency-vs-load", "--shards", "2,"], "shards", [2]),
+        (
+            ["latency-vs-load", "--policies", "iblp,,item-lru"],
+            "policies",
+            ["iblp", "item-lru"],
+        ),
+        (["latency-vs-load", "--schemes", "block, "], "schemes", ["block"]),
+        (
+            ["mrc", "--workload", "zipf", "--capacities", "16, 64,"],
+            "capacities",
+            [16, 64],
+        ),
+        (["cluster", "spatial", "--shards", "1,4,"], "shards", [1, 4]),
+        (["cluster", "spatial", "--schemes", ",item"], "schemes", ["item"]),
+        (["cluster", "spatial", "--policies", "iblp,"], "policies", ["iblp"]),
+        (
+            ["campaign", "run", "d", "--policy", "iblp", "--workload", "zipf"]
+            + ["--capacity", "16,"],
+            "capacity",
+            [16],
+        ),
+    ],
+)
+def test_comma_lists_skip_blank_parts(argv, field, want):
+    assert getattr(build_parser().parse_args(argv), field) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["latency-vs-load", "--loads", "0.5,x"],
+        ["latency-vs-load", "--shards", "2.5"],
+        ["cluster", "spatial", "--shards", "two"],
+    ],
+)
+def test_comma_lists_reject_bad_numbers(argv, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert "invalid" in capsys.readouterr().err

@@ -16,8 +16,12 @@ Two layers of guarantees:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.sweep import default_workers, grid, simulate_cell, sweep
 from repro.campaign import UNCACHED
@@ -36,6 +40,7 @@ from repro.core.mapping import ExplicitBlockMapping, FixedBlockMapping
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
 from repro.policies import make_policy
+from repro.telemetry import spans
 
 RESULT_FIELDS = (
     "accesses",
@@ -67,19 +72,65 @@ def test_stack_distances_reference():
     assert stack_distances(ids).tolist() == [-1, -1, 1, 0, -1, 1, -1]
 
 
+def _quadratic_stack_distances(ids):
+    want = []
+    for t in range(len(ids)):
+        prior = [s for s in range(t) if ids[s] == ids[t]]
+        if not prior:
+            want.append(-1)
+        else:
+            want.append(len(set(list(ids[prior[-1] + 1 : t]))))
+    return want
+
+
 def test_stack_distances_randomized_matches_quadratic_reference():
     rng = np.random.default_rng(7)
     for _ in range(40):
         n = int(rng.integers(0, 120))
         ids = rng.integers(0, 12, n).astype(np.int64)
-        want = []
-        for t in range(n):
-            prior = [s for s in range(t) if ids[s] == ids[t]]
-            if not prior:
-                want.append(-1)
-            else:
-                want.append(len(set(ids[prior[-1] + 1 : t].tolist())))
-        assert stack_distances(ids).tolist() == want
+        assert stack_distances(ids).tolist() == _quadratic_stack_distances(ids)
+
+
+def _repeat_each(pairs):
+    return [i for i, times in pairs for _ in range(times)]
+
+
+#: Id sequences that stress the run-head and warm-access compression.
+_ID_SEQUENCES = {
+    # Each id repeated 1-5 times in a row: mostly run repeats.
+    "runs": st.lists(
+        st.tuples(st.integers(0, 9), st.integers(1, 5)), max_size=40
+    ).map(_repeat_each),
+    # Ids drawn from a wide range: mostly cold accesses.
+    "cold": st.lists(st.integers(0, 500), max_size=80),
+    # One id only: one cold head, then repeats.
+    "one-id": st.integers(0, 60).map(lambda n: [7] * n),
+    # Lengths 0 and 1.
+    "tiny": st.lists(st.integers(0, 3), max_size=1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_ID_SEQUENCES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stack_distances_property_matches_quadratic_reference(shape, data):
+    ids = data.draw(_ID_SEQUENCES[shape])
+    got = stack_distances(np.asarray(ids, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == _quadratic_stack_distances(ids)
+
+
+def test_mattson_span_counts_run_heads_and_warm_accesses(tmp_path):
+    path = tmp_path / "spans.jsonl"
+    spans.enable(path)
+    try:
+        # Runs: 1 1 | 2 2 2 | 1 | 3 3; only the second run of 1 is warm.
+        stack_distances([1, 1, 2, 2, 2, 1, 3, 3])
+    finally:
+        spans.disable()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    attrs = [r["attrs"] for r in records if r["name"] == "fast.mattson"]
+    assert attrs == [{"accesses": 8, "run_heads": 4, "warm": 1}]
 
 
 # -- kernel vs referee -------------------------------------------------------
@@ -101,6 +152,42 @@ def test_randomized_bit_identity_with_outcome_streams(policy_name):
         )
         if not multi_capacity_supported(policy_name, trace, caps):
             continue
+        record: dict = {}
+        results = multi_capacity_replay(policy_name, trace, caps, record=record)
+        for k in caps:
+            ref_result, ref_codes = referee_outcomes(
+                make_policy(policy_name, k, trace.mapping), trace
+            )
+            for field in RESULT_FIELDS:
+                assert getattr(results[k], field) == getattr(
+                    ref_result, field
+                ), f"trial {trial} {policy_name} k={k} field {field}"
+            assert record[k] == ref_codes, f"trial {trial} {policy_name} k={k}"
+
+
+def _long_run_trace(rng, B, blocks, runs, end_mid_run):
+    """Block runs of 1-24 accesses, each to a random item of the block."""
+    items = []
+    for _ in range(runs):
+        block = int(rng.integers(0, blocks))
+        for _ in range(int(rng.integers(1, 25))):
+            items.append(block * B + int(rng.integers(0, B)))
+    if end_mid_run and items:
+        # The last access repeats its predecessor's block: a run tail.
+        items.append((items[-1] // B) * B + int(rng.integers(0, B)))
+    return _trace(items, blocks * B, B)
+
+
+@pytest.mark.parametrize("policy_name", MULTI_CAPACITY_POLICIES)
+@pytest.mark.parametrize("end_mid_run", [False, True])
+def test_long_runs_match_referee_outcome_streams(policy_name, end_mid_run):
+    rng = np.random.default_rng(5 + end_mid_run)
+    for trial in range(12):
+        B = int(rng.integers(1, 9))
+        blocks = int(rng.integers(2, 16))
+        trace = _long_run_trace(rng, B, blocks, int(rng.integers(1, 30)), end_mid_run)
+        # k = B is a single block slot: every change of block misses.
+        caps = sorted({B, 2 * B, 3 * B + 1, blocks * B})
         record: dict = {}
         results = multi_capacity_replay(policy_name, trace, caps, record=record)
         for k in caps:
