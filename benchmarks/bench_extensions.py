@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.mrc import lru_stack_distances, miss_ratio_curve
+from repro.analysis.mrc import miss_ratio_curve
 from repro.analysis.tables import format_table, write_csv
 from repro.core.engine import simulate
 from repro.core.readwrite import WritebackSimulator, make_rw_trace
+from repro.core.reuse import stack_distances
 from repro.hierarchy import TwoLevelSimulator, traffic_cost
 from repro.policies import IBLP, BlockLRU, ItemLRU
 from repro.workloads import (
@@ -97,7 +98,7 @@ def test_mrc_matches_simulation(benchmark, out_dir):
     trace = zipf_items(30_000, universe=4096, alpha=1.0, block_size=8, seed=3)
 
     def run():
-        dists = lru_stack_distances(trace.items)
+        dists = stack_distances(trace.items)
         return miss_ratio_curve(dists, [16, 64, 256, 1024])
 
     curve = benchmark(run)

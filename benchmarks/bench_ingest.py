@@ -12,7 +12,8 @@ Two claims are flight-recorded:
   regime where the block-closed estimator's documented error model
   applies at 5 % (``docs/traces.md``; Zipf-skewed block popularity
   needs higher rates).  The exact block-LRU curve over the same grid
-  is timed too (``exact_block_seconds``, recorded, not gated).
+  is timed too (``exact_block_seconds``, recorded, not gated).  Every
+  curve timing is the median of ``REPEATS`` (3) runs.
 * **Bounded ingestion** — a child process converting a text trace to
   ``.rtc`` with a deliberately small chunk never grows its peak RSS by
   more than one tenth of the resulting file: the trace streamed
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -60,6 +62,9 @@ BLOCK_SIZE = 8
 CAPACITIES = [4096, 16_384, 65_536, 131_072]
 SAMPLER_SEED = 0
 CONVERT_CHUNK = 8192
+#: Timings per curve; ``speedup`` divides the median exact timing by
+#: the median sampled one, so one slow ~0.1 s sample cannot swing it.
+REPEATS = 3
 
 # The child measures its own high-water mark, ``VmHWM`` from
 # /proc/self/status (Linux), after its imports.  ``ru_maxrss`` would not
@@ -86,6 +91,16 @@ print(json.dumps({"baseline_kb": baseline_kb, "peak_kb": peak_kb, "seconds": sec
 """
 
 
+def _median_timing(run):
+    """``run()``'s result and its median wall time over ``REPEATS`` calls."""
+    seconds = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        result = run()
+        seconds.append(time.perf_counter() - t0)
+    return result, statistics.median(seconds)
+
+
 def test_ingest_bench(tmp_path):
     trace = markov_spatial(
         length=LENGTH,
@@ -96,22 +111,16 @@ def test_ingest_bench(tmp_path):
     )
     caps = [k for k in CAPACITIES if k <= UNIVERSE]
 
-    t0 = time.perf_counter()
-    exact = {
-        k: r.miss_ratio
-        for k, r in multi_capacity_replay("item-lru", trace, caps).items()
-    }
-    t_exact = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    multi_capacity_replay("block-lru", trace, caps)
-    t_exact_block = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    approx = dict(
-        sampled_miss_ratio_curve(trace, caps, RATE, seed=SAMPLER_SEED)
+    item, t_exact = _median_timing(
+        lambda: multi_capacity_replay("item-lru", trace, caps)
     )
-    t_sampled = time.perf_counter() - t0
+    exact = {k: r.miss_ratio for k, r in item.items()}
+    _, t_exact_block = _median_timing(
+        lambda: multi_capacity_replay("block-lru", trace, caps)
+    )
+    approx, t_sampled = _median_timing(
+        lambda: dict(sampled_miss_ratio_curve(trace, caps, RATE, seed=SAMPLER_SEED))
+    )
 
     max_err = max(abs(approx[k] - exact[k]) for k in caps)
     speedup = t_exact / max(t_sampled, 1e-9)
@@ -169,6 +178,7 @@ def test_ingest_bench(tmp_path):
             "capacities": caps,
             "rate": RATE,
             "sampler_seed": SAMPLER_SEED,
+            "timing_repeats": REPEATS,
             "gate": GATE,
             "err_gate": ERR_GATE,
             "exact_curve": exact,

@@ -26,12 +26,7 @@ from repro.analysis.competitive import (
 from repro.analysis.sweep import grid, simulate_cell, sweep
 from repro.analysis.tables import format_histogram, format_table, write_csv
 from repro.analysis.ascii_plot import line_plot
-from repro.analysis.mrc import (
-    block_lru_stack_distances,
-    iblp_mrc_grid,
-    lru_stack_distances,
-    miss_ratio_curve,
-)
+from repro.analysis.mrc import iblp_mrc_grid, miss_ratio_curve
 from repro.analysis.randomized import SeedSummary, compare_randomized, seed_sweep
 
 __all__ = [
@@ -48,8 +43,6 @@ __all__ = [
     "format_histogram",
     "write_csv",
     "line_plot",
-    "lru_stack_distances",
-    "block_lru_stack_distances",
     "miss_ratio_curve",
     "iblp_mrc_grid",
     "SeedSummary",

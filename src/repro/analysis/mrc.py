@@ -1,24 +1,22 @@
 """Miss-ratio curves via Mattson's stack algorithm [Mattson et al. 1970].
 
 The paper cites Mattson's one-pass technique as the classical offline
-tool for inclusion (stack) policies; this module implements it for the
+tool for inclusion (stack) policies; this module builds on it for the
 GC setting's two granularities:
 
-* :func:`lru_stack_distances` — reuse (stack) distances of an LRU
-  *item* cache; the histogram yields the miss count of every capacity
-  ``k`` simultaneously.
-* :func:`block_lru_stack_distances` — the same over the block
-  projection, giving Block-LRU's miss curve in units of blocks.
-* :func:`miss_ratio_curve` — turn either into ``(capacity, miss
-  ratio)`` arrays, and :func:`iblp_mrc_grid` sweeps IBLP splits with
-  direct simulation for comparison (IBLP is *not* a stack policy, so no
-  one-pass shortcut exists — the engine run is the honest tool).
+* :func:`miss_ratio_curve` — turn a stack-distance array
+  (``stack_distances(trace.items)`` for an LRU *item* cache,
+  ``stack_distances(trace.block_trace())`` for Block-LRU in units of
+  blocks) into ``(capacity, miss ratio)`` pairs, and
+  :func:`iblp_mrc_grid` sweeps IBLP splits with direct simulation for
+  comparison (IBLP is *not* a stack policy, so no one-pass shortcut
+  exists — the engine run is the honest tool).
+* :func:`sampled_miss_ratio_curve` and :func:`sampled_spatial_fraction`
+  — SHARDS-sampled approximations.
 
-Stack distances are computed by the array-oriented offline kernel in
-:mod:`repro.core.fast` (a mergesort-style dominance count with
-numpy-vectorized levels, run over the warm run heads only); this
-module keeps the analysis-facing API and the curve/grid constructions
-on top of it.
+Stack distances come from :mod:`repro.core.reuse` (a mergesort-style
+dominance count with numpy-vectorized levels, run over the warm run
+heads only).
 """
 
 from __future__ import annotations
@@ -34,28 +32,11 @@ from repro.errors import ConfigurationError
 from repro.policies.iblp import IBLP
 
 __all__ = [
-    "lru_stack_distances",
-    "block_lru_stack_distances",
     "miss_ratio_curve",
     "iblp_mrc_grid",
     "sampled_miss_ratio_curve",
     "sampled_spatial_fraction",
 ]
-
-
-def lru_stack_distances(ids: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Reuse distances of each access under LRU (inf → -1).
-
-    ``distance[t]`` is the number of distinct ids seen since the
-    previous access to ``ids[t]``; an LRU cache of capacity ``k`` hits
-    access ``t`` iff ``0 <= distance[t] < k``.  Cold accesses get -1.
-    """
-    return stack_distances(np.asarray(ids, dtype=np.int64))
-
-
-def block_lru_stack_distances(trace: Trace) -> np.ndarray:
-    """Stack distances over the block projection (for Block-LRU)."""
-    return lru_stack_distances(trace.block_trace())
 
 
 def miss_ratio_curve(
@@ -69,7 +50,9 @@ def miss_ratio_curve(
     if not len(distances):
         raise ConfigurationError("empty distance array")
     caps = sorted(set(int(c) for c in capacities))
-    if caps and caps[0] < 1:
+    if not caps:
+        raise ConfigurationError("no capacities given")
+    if caps[0] < 1:
         raise ConfigurationError("capacities must be >= 1")
     n = len(distances)
     finite = distances[distances >= 0]

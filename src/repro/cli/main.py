@@ -669,22 +669,17 @@ def _dispatch(ns: argparse.Namespace):
         fit = f"\npolynomial fit: f(n) ~= {c:.3g} * n^(1/{p:.3g}), gamma ~= {gamma:.3g}"
         return format_table(rows, title="locality profile") + fit
     if ns.command == "mrc":
-        from repro.analysis.mrc import (
-            block_lru_stack_distances,
-            lru_stack_distances,
-            miss_ratio_curve,
-        )
+        from repro.analysis.mrc import miss_ratio_curve
+        from repro.core.reuse import stack_distances
 
         trace = _WORKLOADS[ns.workload](ns)
         caps = sorted(set(ns.capacities))
-        item_curve = dict(
-            miss_ratio_curve(lru_stack_distances(trace.items), caps)
-        )
+        item_curve = dict(miss_ratio_curve(stack_distances(trace.items), caps))
         block_slots = sorted(
             {max(1, c // trace.block_size) for c in caps}
         )
         block_curve = dict(
-            miss_ratio_curve(block_lru_stack_distances(trace), block_slots)
+            miss_ratio_curve(stack_distances(trace.block_trace()), block_slots)
         )
         rows = [
             {

@@ -90,6 +90,7 @@ import numpy as np
 from repro.telemetry import spans
 from repro.core.mapping import FixedBlockMapping
 from repro.core.raw_stream import draw_stream, stream_kind
+from repro.core.reuse import head_distances, occurrences, run_heads, stack_distances
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
 from repro.policies.adaptive_iblp import AdaptiveIBLP
@@ -1680,160 +1681,6 @@ def _batch_result(
     return result
 
 
-# -- vectorized stack distances [Mattson et al. 1970] ------------------------
-#
-# The batched multi-capacity kernels below rest on reuse (stack)
-# distances: dist[t] = number of distinct ids referenced since the
-# previous access to ids[t] (cold accesses get -1).  An LRU cache of
-# capacity k hits access t iff 0 <= dist[t] < k, so one pass prices
-# every capacity simultaneously.
-#
-# Spatial locality makes most traces runs of one id (at block
-# granularity, most accesses touch the previous access's block).  An
-# access equal to its predecessor has distance 0, and collapsing every
-# run to its head keeps the distinct ids of every window, so the heads
-# keep their distances.  The derivation below therefore runs over the
-# run heads only (positions and prev in head coordinates).
-#
-# Let prev[t] be the position of the previous access to ids[t] (-1 when
-# cold).  Positions s in the window (prev[t], t) contribute one distinct
-# id each unless they are themselves repeats *within* the window, i.e.
-# prev[s] > prev[t] (prev values >= 0 are distinct positions, so for
-# s in the window, prev[s] > prev[t] puts prev[s] strictly inside it;
-# for s <= prev[t], prev[s] < s <= prev[t] never counts).  Hence
-#
-#     dist[t] = (t - prev[t] - 1) - #{s < t : prev[s] > prev[t]}
-#
-# and the problem reduces to counting, per element, earlier elements
-# with a greater value — a dominance count done here with a bottom-up
-# mergesort sweep in numpy (log T levels of whole-array sorts and
-# searchsorteds) instead of a per-access Fenwick loop.  A cold head's
-# prev = -1 is never greater than a warm head's, so cold heads add
-# nothing to any count and are dropped first: the count runs over the
-# W warm run heads, O(W log^2 W), plus O(T) to find the runs and
-# O(R log R) to find each of the R heads' previous occurrence.
-
-
-def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
-    """``counts[t] = #{s < t : values[s] > values[t]}``, vectorized.
-
-    Bottom-up mergesort scheme: at the level of half-width ``w`` each
-    element in the right half of a ``2w`` block counts the strictly
-    greater elements in its left sibling; every pair ``s < t`` meets at
-    exactly one level, so the per-level counts sum to the dominance
-    count.  Each level is one whole-array ``np.sort`` plus one flat
-    ``np.searchsorted`` (rows separated by disjoint key offsets), so
-    the total is O(T log^2 T) spread over ~log T numpy passes.
-    """
-    n = int(values.size)
-    counts = np.zeros(n, dtype=np.int64)
-    if n < 2:
-        return counts
-    v = np.ascontiguousarray(values, dtype=np.int64)
-    lo = int(v.min())
-    hi = int(v.max())
-    span_key = hi - lo + 2  # per-block key offset stride (no collisions)
-
-    # Width-1 level: plain pairwise compares.
-    m2 = (n // 2) * 2
-    counts[1:m2:2] = v[0:m2:2] > v[1:m2:2]
-
-    # Width-2 level: blocks of 4, left pair vs right pair.
-    m4 = (n // 4) * 4
-    blk = v[:m4].reshape(-1, 4)
-    counts[2:m4:4] += (blk[:, 0] > blk[:, 2]).astype(np.int64) + (
-        blk[:, 1] > blk[:, 2]
-    )
-    counts[3:m4:4] += (blk[:, 0] > blk[:, 3]).astype(np.int64) + (
-        blk[:, 1] > blk[:, 3]
-    )
-    # Width-2 ragged tail: a lone third element in a partial block of 4
-    # still has a full left sibling pair.  (Width 1 has no ragged case:
-    # every odd index < 2*(n//2) is covered by the slice above.)
-    if n - m4 == 3:
-        counts[m4 + 2] += int(v[m4] > v[m4 + 2]) + int(v[m4 + 1] > v[m4 + 2])
-
-    width = 4
-    while width < n:
-        span = 2 * width
-        nblocks = -(-n // span)
-        pad_n = nblocks * span
-        if pad_n == n:
-            padded = v
-        else:
-            # Suffix padding is safe: a left half containing padding
-            # implies its right half lies entirely past the real data.
-            padded = np.empty(pad_n, dtype=np.int64)
-            padded[:n] = v
-            padded[n:] = lo
-        blocks = padded.reshape(nblocks, span)
-        left_sorted = np.sort(blocks[:, :width], axis=1)
-        base = np.arange(nblocks, dtype=np.int64) * span_key
-        flat_sorted = (left_sorted + base[:, None]).ravel()
-        queries = (blocks[:, width:] + base[:, None]).ravel()
-        le = np.searchsorted(flat_sorted, queries, side="right")
-        le -= np.repeat(np.arange(nblocks, dtype=np.int64) * width, width)
-        # Global positions of right-half elements (block-major, so the
-        # sequence is increasing: real entries form a prefix).
-        pos = (np.arange(pad_n, dtype=np.int64).reshape(nblocks, span))[
-            :, width:
-        ].ravel()
-        nreal = int(np.searchsorted(pos, n))
-        counts[pos[:nreal]] += width - le[:nreal]
-        width = span
-    return counts
-
-
-def _prev_occurrence(arr: np.ndarray) -> np.ndarray:
-    """Index of the previous access to each id (-1 when cold)."""
-    n = int(arr.size)
-    prev = np.full(n, -1, dtype=np.int64)
-    if n:
-        order = np.argsort(arr, kind="stable")
-        srt = arr[order]
-        same = srt[1:] == srt[:-1]
-        prev[order[1:][same]] = order[:-1][same]
-    return prev
-
-
-def _run_heads(arr: np.ndarray) -> np.ndarray:
-    """Positions of the accesses that differ from their predecessor."""
-    n = int(arr.size)
-    starts = np.ones(n, dtype=bool)
-    if n:
-        np.not_equal(arr[1:], arr[:-1], out=starts[1:])
-    return np.flatnonzero(starts)
-
-
-def stack_distances(ids: Sequence[int] | np.ndarray) -> np.ndarray:
-    """LRU reuse (stack) distance of each access; cold accesses get -1.
-
-    ``distance[t]`` is the number of distinct ids seen since the
-    previous access to ``ids[t]``; an LRU cache of capacity ``k`` hits
-    access ``t`` iff ``0 <= distance[t] < k``.  Fully vectorized; the
-    dominance count covers warm run heads only — see the derivation
-    above :func:`_count_earlier_greater`.
-    """
-    arr = np.asarray(ids, dtype=np.int64)
-    n = int(arr.size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    with spans.span("fast.mattson", accesses=n):
-        heads = _run_heads(arr)
-        runs = int(heads.size)
-        prev = _prev_occurrence(arr if runs == n else arr[heads])
-        warm = np.flatnonzero(prev >= 0)
-        spans.annotate(run_heads=runs, warm=int(warm.size))
-        warm_prev = prev[warm]
-        dist = np.full(runs, -1, dtype=np.int64)
-        dist[warm] = warm - warm_prev - 1 - _count_earlier_greater(warm_prev)
-        if runs == n:
-            return dist
-        out = np.zeros(n, dtype=np.int64)
-        out[heads] = dist
-    return out
-
-
 # -- batched multi-capacity replay -------------------------------------------
 
 #: Stack (inclusion) policies with a batched multi-capacity kernel.
@@ -1845,7 +1692,7 @@ def _uniform_block_size(trace: Trace) -> Optional[int]:
     bt = trace.block_trace()
     if bt.size == 0:
         return int(trace.mapping.max_block_size)
-    blocks = np.unique(bt[_run_heads(bt)])
+    blocks = np.unique(bt[run_heads(bt)])
     mapping = trace.mapping
     if isinstance(mapping, FixedBlockMapping):
         B = mapping.max_block_size
@@ -1936,19 +1783,19 @@ def _multi_capacity_block_lru(
     record: Optional[Dict[int, List[int]]],
 ) -> Dict[int, SimResult]:
     n = int(trace.items.size)
-    bt = trace.block_trace()
-    heads = _run_heads(bt)
-    runs = int(heads.size)
-    # Run heads grouped by block, time-ascending within each group; the
-    # per-capacity "last reload" scans run in this layout, where each
-    # block owns a disjoint key range (positions offset by ``base``).
-    order = np.argsort(bt[heads], kind="stable")
-    head_pos = heads[order]
     # Every capacity holds at least one block, so an access in the same
     # block as its predecessor always hits: only run heads can miss,
     # and the taxonomy below is priced once per block run.
-    bdist = stack_distances(bt)[head_pos]
-    p_item = _prev_occurrence(trace.items)
+    bt = trace.block_trace()
+    heads, order, head_dist = head_distances(bt)
+    runs = int(heads.size)
+    # Run heads grouped by block, time-ascending within each group (the
+    # Mattson pass's own sort order); the per-capacity "last reload"
+    # scans run in this layout, where each block owns a disjoint key
+    # range (positions offset by ``base``).
+    head_pos = heads[order]
+    bdist = head_dist[order]
+    p_item = occurrences(trace.items)[1]
     distinct_blocks = int((bdist < 0).sum())
     grp_start = np.ones(runs, dtype=bool)
     grp_start[1:] = bt[head_pos[1:]] != bt[head_pos[:-1]]

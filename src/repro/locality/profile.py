@@ -18,9 +18,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bounds.locality import LocalityBounds
+from repro.core.reuse import max_distinct_per_window
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
-from repro.structs.window_counter import max_distinct_per_window
 
 __all__ = ["LocalityProfile", "profile_trace", "default_windows"]
 
@@ -114,8 +114,10 @@ def profile_trace(
 ) -> LocalityProfile:
     """Measure f(n) and g(n) for ``trace`` at the given window sizes.
 
-    One O(T) sliding-window pass per window size; default windows are
-    log-spaced, which matches how the bounds consume the profile.
+    One stable sort per id column, then one O(T) ``cumsum`` per window
+    size (:func:`repro.core.reuse.max_distinct_per_window`); default
+    windows are log-spaced, which matches how the bounds consume the
+    profile.
     """
     if len(trace) == 0:
         raise ConfigurationError("cannot profile an empty trace")

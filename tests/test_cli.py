@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 
 
 def test_help_lists_subcommands(capsys):
@@ -218,6 +219,11 @@ def test_mrc(capsys):
     out = capsys.readouterr().out
     assert "Mattson MRC" in out
     assert "item_lru_miss_ratio" in out
+
+
+def test_mrc_rejects_empty_capacity_list():
+    with pytest.raises(ConfigurationError, match="no capacities given"):
+        main(["mrc", "--workload", "markov", "--length", "500", "--capacities", ","])
 
 
 def test_simulate_trace_file(tmp_path, capsys):

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.mrc import (
-    block_lru_stack_distances,
-    lru_stack_distances,
     miss_ratio_curve,
     sampled_miss_ratio_curve,
     sampled_spatial_fraction,
 )
 from repro.core.engine import simulate
+from repro.core.reuse import stack_distances
 from repro.errors import ConfigurationError
 from repro.policies import make_policy
 from repro.workloads import markov_spatial, sample_trace, shards, zipf_items
@@ -106,10 +105,10 @@ def test_sample_trace_provenance():
 
 
 def exact_curves(trace, caps):
-    item = dict(miss_ratio_curve(lru_stack_distances(trace.items), caps))
+    item = dict(miss_ratio_curve(stack_distances(trace.items), caps))
     block_slots = [max(1, k // trace.block_size) for k in caps]
     block = dict(
-        miss_ratio_curve(block_lru_stack_distances(trace), block_slots)
+        miss_ratio_curve(stack_distances(trace.block_trace()), block_slots)
     )
     return item, block
 
