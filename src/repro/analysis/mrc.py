@@ -14,9 +14,10 @@ GC setting's two granularities:
 * :func:`sampled_miss_ratio_curve` and :func:`sampled_spatial_fraction`
   — SHARDS-sampled approximations.
 
-Stack distances come from :mod:`repro.core.reuse` (a mergesort-style
-dominance count with numpy-vectorized levels, run over the warm run
-heads only).
+Stack distances come from :mod:`repro.core.reuse` (one keyed sort of
+the run heads for their previous occurrences, then a dominance count
+over the warm run heads only: a broadcast compare within blocks of 16
+and numpy-vectorized merge levels above).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@
   accounting (extension beyond the paper's read-only scope).
 * :mod:`repro.core.fast` — validation-free replay kernels behind
   ``simulate(..., fast=True)``.
-* :mod:`repro.core.reuse` — previous/next occurrences from one stable
-  sort, behind Mattson stack distances and the ``f(n)``/``g(n)``
-  working-set profiles.
+* :mod:`repro.core.reuse` — previous/next occurrences from one sort of
+  ``(id, position)`` keys, behind Mattson stack distances and the
+  ``f(n)``/``g(n)`` working-set profiles.
 * :mod:`repro.core.conformance` — the differential harness proving
   the kernels bit-identical to the referee.
 """

@@ -1692,14 +1692,16 @@ def _uniform_block_size(trace: Trace) -> Optional[int]:
     bt = trace.block_trace()
     if bt.size == 0:
         return int(trace.mapping.max_block_size)
-    blocks = np.unique(bt[run_heads(bt)])
     mapping = trace.mapping
     if isinstance(mapping, FixedBlockMapping):
+        # Block sizes never grow with the block id (only the universe's
+        # last block can be short), so the extremes decide.
         B = mapping.max_block_size
-        sizes = np.minimum(B, mapping.universe - blocks * B)
+        sizes = np.minimum(B, mapping.universe - np.array([bt.min(), bt.max()]) * B)
     else:
         sizes = np.asarray(
-            [len(mapping.items_in(int(b))) for b in blocks], dtype=np.int64
+            [len(mapping.items_in(int(b))) for b in np.unique(bt[run_heads(bt)])],
+            dtype=np.int64,
         )
     first = int(sizes[0])
     return first if bool((sizes == first).all()) else None

@@ -1,12 +1,13 @@
-"""Reuse passes over an id column: one stable sort behind Mattson curves
-and locality profiles.
+"""Reuse passes over an id column: one sort behind Mattson curves and
+locality profiles.
 
 Exact LRU miss-ratio curves rest on Mattson stack distances
 [Mattson et al. 1970]; the locality model of §2 and §7 rests on the
 working-set functions ``f(n)`` and ``g(n)``, the most distinct items
 (blocks) in any window of ``n`` accesses.  Both are functions of each
-access's previous and next occurrence, which one stable sort of the id
-column yields together with its sort permutation (:func:`occurrences`).
+access's previous (and next) occurrence, which one sort of the unique
+keys ``(id - min) << bits | position`` yields together with the stable
+sort permutation (:func:`occurrences`).
 
 * :func:`stack_distances` — every access's LRU stack distance, priced
   over the column's run heads (:func:`head_distances`, which the
@@ -18,7 +19,7 @@ column yields together with its sort permutation (:func:`occurrences`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +35,26 @@ __all__ = [
 ]
 
 
+def _id_column(ids: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
+    """``ids`` as a one-dimensional int64 column.
+
+    Raises :class:`ConfigurationError` naming the shape of a column
+    that is not one-dimensional, or the dtype of one whose values are
+    not integers that fit int64 (floats would be truncated into
+    colliding ids).  An empty column is valid whatever its dtype.
+    """
+    arr = np.asarray(ids)
+    if arr.ndim != 1:
+        raise ConfigurationError(
+            f"{name} must be one-dimensional, got shape {arr.shape}"
+        )
+    if arr.size and (arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64)):
+        raise ConfigurationError(
+            f"{name} must be integers that fit int64, got dtype {arr.dtype}"
+        )
+    return arr.astype(np.int64, copy=False)
+
+
 def run_heads(arr: np.ndarray) -> np.ndarray:
     """Positions of the accesses that differ from their predecessor."""
     n = int(arr.size)
@@ -43,25 +64,46 @@ def run_heads(arr: np.ndarray) -> np.ndarray:
     return np.flatnonzero(starts)
 
 
-def occurrences(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(order, prev, next)`` of an id column from one stable sort.
+def _position_bits(lo: int, hi: int, n: int) -> Optional[int]:
+    """Low bits that hold one of ``n`` positions below ``value - lo`` in
+    an int64 key, or ``None`` when the span ``hi - lo`` leaves no room
+    (:func:`occurrences` then takes its stable ``argsort`` fallback)."""
+    bits = max(n - 1, 0).bit_length()
+    return bits if hi - lo < 1 << (63 - bits) else None
 
-    ``order`` is the stable ``argsort`` of ``arr`` (positions grouped
-    by id, time-ascending within each id); ``prev[t]`` is the position
-    of the previous access to ``arr[t]`` (-1 when cold) and ``next[t]``
-    the position of the next one (``len(arr)`` when there is none).
+
+def occurrences(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, prev)`` of an id column from one sort.
+
+    ``order`` is the stable sort permutation of ``arr`` (positions
+    grouped by id, time-ascending within each id) and ``prev[t]`` the
+    position of the previous access to ``arr[t]`` (-1 when cold).  The
+    sort is a plain ``np.sort`` of the unique keys
+    ``(id - min) << bits | position``, whose low bits are ``order``;
+    an id span too wide for the position bits takes a stable
+    ``argsort`` instead (:func:`_position_bits`).
     """
     n = int(arr.size)
-    order = np.argsort(arr, kind="stable")
     prev = np.full(n, -1, dtype=np.int64)
-    nxt = np.full(n, n, dtype=np.int64)
-    srt = arr[order]
-    same = srt[1:] == srt[:-1]
-    earlier = order[:-1][same]
-    later = order[1:][same]
-    prev[later] = earlier
-    nxt[earlier] = later
-    return order, prev, nxt
+    if n == 0:
+        return np.empty(0, dtype=np.int64), prev
+    lo = int(arr.min())
+    bits = _position_bits(lo, int(arr.max()), n)
+    if bits is None:
+        order = np.argsort(arr, kind="stable")
+        srt = arr[order]
+        same = srt[1:] == srt[:-1]
+    else:
+        keys = np.subtract(arr, lo, dtype=np.int64)
+        keys <<= bits
+        keys |= np.arange(n, dtype=np.int64)
+        keys.sort()
+        order = keys & ((1 << bits) - 1)
+        keys >>= bits
+        same = keys[1:] == keys[:-1]
+        del keys
+    prev[order[1:][same]] = order[:-1][same]
+    return order, prev
 
 
 # -- vectorized stack distances [Mattson et al. 1970] ------------------------
@@ -89,24 +131,70 @@ def occurrences(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 #
 # and the problem reduces to counting, per element, earlier elements
 # with a greater value — a dominance count done here with a bottom-up
-# mergesort sweep in numpy (log T levels of whole-array sorts and
-# searchsorteds) instead of a per-access Fenwick loop.  A cold head's
-# prev = -1 is never greater than a warm head's, so cold heads add
-# nothing to any count and are dropped first: the count runs over the
-# W warm run heads, O(W log^2 W), plus O(T) to find the runs and
-# O(R log R) to find each of the R heads' previous occurrence.
+# mergesort sweep in numpy (one broadcast compare over blocks of 16,
+# then log T levels of row sorts and running counts) instead of a
+# per-access Fenwick loop.  A cold head's prev = -1 is never greater
+# than a warm head's, so cold heads add nothing to any count and are
+# dropped first: the count runs over the W warm run heads,
+# O(W log^2 W), plus O(T) to find the runs and one sort of the R run
+# heads' (id, position) keys to find their previous occurrences.
+
+
+#: Width of the aligned blocks the base level counts by broadcast compare:
+#: a row of 16 bool bytes is two uint64 words.
+_BASE = 16
+
+
+def _count_base_blocks(v: np.ndarray, counts: np.ndarray) -> None:
+    """Pairs within each aligned ``_BASE`` block (and the ragged tail)."""
+    n = int(v.size)
+    full = n // _BASE * _BASE
+    earlier = np.arange(_BASE)[:, None] > np.arange(_BASE)  # [t, s]: s < t
+    blocks = v[:full].reshape(-1, _BASE)
+    greater = blocks[:, None, :] > blocks[:, :, None]  # [b, t, s]: v[s] > v[t]
+    greater &= earlier
+    # Each row of _BASE 0/1 bytes is two uint64 words; adding them and
+    # multiplying by 0x0101... sums the bytes into the top byte.
+    words = greater.view(np.uint64).reshape(-1, _BASE // 8)
+    total = words[:, 0] + words[:, 1]
+    total *= np.uint64(0x0101010101010101)
+    total >>= np.uint64(56)
+    counts[:full] = total
+    tail = v[full:]
+    k = int(tail.size)
+    counts[full:] = ((tail[None, :] > tail[:, None]) & earlier[:k, :k]).sum(axis=1)
+
+
+def _count_level(rows: np.ndarray, width: int, bits: int, counts: np.ndarray) -> None:
+    """One merge level: sort each row of two sorted halves and add, for
+    each right-half element, the left-half elements greater than it."""
+    nrows, span = rows.shape
+    rows.sort(axis=1)
+    right = rows >> (width.bit_length() - 1)
+    right &= 1  # position bit ``width``: 1 in the right half
+    # Right-half elements up to each one: q + 1, plus width per earlier row.
+    greater = np.cumsum(right).reshape(nrows, span)
+    greater += width - 1 - np.arange(span)
+    greater -= (np.arange(nrows) * width)[:, None]
+    greater *= right
+    counts[rows & ((1 << bits) - 1)] += greater
 
 
 def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
     """``counts[t] = #{s < t : values[s] > values[t]}``, vectorized.
 
-    Bottom-up mergesort scheme: at the level of half-width ``w`` each
-    element in the right half of a ``2w`` block counts the strictly
-    greater elements in its left sibling; every pair ``s < t`` meets at
-    exactly one level, so the per-level counts sum to the dominance
-    count.  Each level is one whole-array ``np.sort`` plus one flat
-    ``np.searchsorted`` (rows separated by disjoint key offsets), so
-    the total is O(T log^2 T) spread over ~log T numpy passes.
+    Bottom-up mergesort scheme.  Aligned blocks of ``_BASE`` elements
+    count their inner pairs with one broadcast compare.  Above that,
+    each level of half-width ``w`` sorts every ``2w`` row of position
+    keys (value high, position low, so both halves arrive as sorted
+    runs); a right-half element at column ``p`` with ``q`` right-half
+    elements before it has ``p - q`` left-half elements ``<=`` it, hence
+    ``w - p + q`` strictly greater ones (a running count of the
+    right-half bit gives ``q``).  Every pair ``s < t`` meets at exactly
+    one level, so the per-level counts sum to the dominance count:
+    O(T log^2 T) over ~log T numpy passes.  The value span must leave
+    room for the position bits in an int64 key, which positions (the
+    only inputs) always do; a wider span raises ``ValueError``.
     """
     n = int(values.size)
     counts = np.zeros(n, dtype=np.int64)
@@ -114,55 +202,24 @@ def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
         return counts
     v = np.ascontiguousarray(values, dtype=np.int64)
     lo = int(v.min())
-    hi = int(v.max())
-    span_key = hi - lo + 2  # per-block key offset stride (no collisions)
-
-    # Width-1 level: plain pairwise compares.
-    m2 = (n // 2) * 2
-    counts[1:m2:2] = v[0:m2:2] > v[1:m2:2]
-
-    # Width-2 level: blocks of 4, left pair vs right pair.
-    m4 = (n // 4) * 4
-    blk = v[:m4].reshape(-1, 4)
-    counts[2:m4:4] += (blk[:, 0] > blk[:, 2]).astype(np.int64) + (
-        blk[:, 1] > blk[:, 2]
-    )
-    counts[3:m4:4] += (blk[:, 0] > blk[:, 3]).astype(np.int64) + (
-        blk[:, 1] > blk[:, 3]
-    )
-    # Width-2 ragged tail: a lone third element in a partial block of 4
-    # still has a full left sibling pair.  (Width 1 has no ragged case:
-    # every odd index < 2*(n//2) is covered by the slice above.)
-    if n - m4 == 3:
-        counts[m4 + 2] += int(v[m4] > v[m4 + 2]) + int(v[m4 + 1] > v[m4 + 2])
-
-    width = 4
+    bits = _position_bits(lo, int(v.max()), n)
+    if bits is None:
+        raise ValueError(f"value span too wide for {n} positions in an int64 key")
+    _count_base_blocks(v, counts)
+    keys = v - lo
+    keys <<= bits
+    keys |= np.arange(n, dtype=np.int64)
+    full = n // _BASE * _BASE
+    keys[:full].reshape(-1, _BASE).sort(axis=1)
+    keys[full:].sort()
+    width = _BASE
     while width < n:
         span = 2 * width
-        nblocks = -(-n // span)
-        pad_n = nblocks * span
-        if pad_n == n:
-            padded = v
-        else:
-            # Suffix padding is safe: a left half containing padding
-            # implies its right half lies entirely past the real data.
-            padded = np.empty(pad_n, dtype=np.int64)
-            padded[:n] = v
-            padded[n:] = lo
-        blocks = padded.reshape(nblocks, span)
-        left_sorted = np.sort(blocks[:, :width], axis=1)
-        base = np.arange(nblocks, dtype=np.int64) * span_key
-        flat_sorted = (left_sorted + base[:, None]).ravel()
-        queries = (blocks[:, width:] + base[:, None]).ravel()
-        le = np.searchsorted(flat_sorted, queries, side="right")
-        le -= np.repeat(np.arange(nblocks, dtype=np.int64) * width, width)
-        # Global positions of right-half elements (block-major, so the
-        # sequence is increasing: real entries form a prefix).
-        pos = (np.arange(pad_n, dtype=np.int64).reshape(nblocks, span))[
-            :, width:
-        ].ravel()
-        nreal = int(np.searchsorted(pos, n))
-        counts[pos[:nreal]] += width - le[:nreal]
+        full = n // span * span
+        if full:
+            _count_level(keys[:full].reshape(-1, span), width, bits, counts)
+        if n - full > width:  # a ragged last row with a full left half
+            _count_level(keys[full:].reshape(1, -1), width, bits, counts)
         width = span
     return counts
 
@@ -188,7 +245,7 @@ def head_distances(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     with spans.span("fast.mattson", accesses=int(arr.size)):
         heads = run_heads(arr)
         spans.annotate(run_heads=int(heads.size))
-        order, prev = occurrences(arr[heads])[:2]
+        order, prev = occurrences(arr[heads])
         return heads, order, _warm_distances(prev)
 
 
@@ -201,9 +258,11 @@ def stack_distances(ids: Sequence[int] | np.ndarray) -> np.ndarray:
     dominance count covers warm run heads only — see the derivation
     above :func:`_count_earlier_greater`.  Unlike
     :func:`head_distances` it drops the sort permutation before the
-    count, which keeps the pass's peak memory down.
+    count, which keeps the pass's peak memory down.  Raises
+    :class:`ConfigurationError` for ids that are not integers or not a
+    one-dimensional column.
     """
-    arr = np.asarray(ids, dtype=np.int64)
+    arr = _id_column(ids, "ids")
     n = int(arr.size)
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -242,12 +301,11 @@ def max_distinct_per_window(
     windows.
 
     Returns ``{n: max distinct over windows of size n}``; raises
-    :class:`ConfigurationError` for a multi-dimensional trace or a
-    window that is not an integer >= 1.
+    :class:`ConfigurationError` for a trace that is not a
+    one-dimensional integer column or a window that is not an integer
+    >= 1.
     """
-    arr = np.asarray(trace, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ConfigurationError("trace must be one-dimensional")
+    arr = _id_column(trace, "trace")
     windows = list(windows)
     for n in windows:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
@@ -255,10 +313,13 @@ def max_distinct_per_window(
     size = int(arr.size)
     if size == 0:
         return {n: 0 for n in windows}
-    _, prev, nxt = occurrences(arr)
+    prev = occurrences(arr)[1]
     pos = np.arange(size, dtype=np.int64)
+    warm = prev >= 0
+    until_next = np.full(size, size, dtype=np.int64)  # next access, or size
+    until_next[prev[warm]] = pos[warm]
+    until_next -= pos
     since_prev = pos - prev
-    until_next = nxt - pos
     distinct_prefix = np.cumsum(prev < 0)  # distinct ids in arr[: t + 1]
     out: Dict[int, int] = {}
     for n in windows:

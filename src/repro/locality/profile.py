@@ -114,10 +114,10 @@ def profile_trace(
 ) -> LocalityProfile:
     """Measure f(n) and g(n) for ``trace`` at the given window sizes.
 
-    One stable sort per id column, then one O(T) ``cumsum`` per window
-    size (:func:`repro.core.reuse.max_distinct_per_window`); default
-    windows are log-spaced, which matches how the bounds consume the
-    profile.
+    One sort of ``(id, position)`` keys per id column, then one O(T)
+    ``cumsum`` per window size
+    (:func:`repro.core.reuse.max_distinct_per_window`); default windows
+    are log-spaced, which matches how the bounds consume the profile.
     """
     if len(trace) == 0:
         raise ConfigurationError("cannot profile an empty trace")

@@ -42,6 +42,7 @@ from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 import numpy as np
 
 from repro.core.mapping import splitmix64
+from repro.core.reuse import run_heads
 from repro.core.rtc import DEFAULT_CHUNK, RtcFile, RtcWriter
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, TraceFormatError
@@ -588,11 +589,18 @@ class ShardsSampler:
         object.__setattr__(self, "_salt", np.uint64(salt))
 
     def keep_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Boolean keep-mask for an array of block ids."""
+        """Boolean keep-mask for an array of block ids.
+
+        The coin depends on the block id only, so it is flipped once per
+        run of equal ids and repeated over the run.
+        """
         blocks = np.ascontiguousarray(blocks)
         if self.rate >= 1.0:
             return np.ones(blocks.shape, dtype=bool)
-        return splitmix64(blocks.astype(np.uint64) ^ self._salt) < self._threshold
+        flat = blocks.ravel()
+        heads = run_heads(flat)
+        keep = splitmix64(flat[heads].astype(np.uint64) ^ self._salt) < self._threshold
+        return np.repeat(keep, np.diff(heads, append=flat.size)).reshape(blocks.shape)
 
     def keep_items(self, items: np.ndarray, block_size: int) -> np.ndarray:
         """Keep-mask for item ids under an aligned fixed-``B`` mapping."""

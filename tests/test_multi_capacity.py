@@ -241,6 +241,21 @@ def test_supported_uniform_explicit_mapping_batches_block_lru():
     assert_multi_capacity_conformant("block-lru", trace, [2, 4])
 
 
+@pytest.mark.parametrize(
+    "items, supported",
+    [
+        ([0, 5, 3, 7], True),  # full blocks 0 and 1 only
+        ([9, 8, 9], True),  # the short last block only: its size is 2
+        ([0, 9, 4], False),  # full blocks and the short last one
+    ],
+)
+def test_supported_fixed_mapping_with_short_last_block(items, supported):
+    trace = _trace(items, 10, 4)  # blocks [0-3], [4-7], [8-9]
+    assert multi_capacity_supported("block-lru", trace, [4, 8]) is supported
+    if supported:
+        assert_multi_capacity_conformant("block-lru", trace, [4, 8])
+
+
 def test_supported_rejects_bad_capacities():
     trace = _trace(range(8), 8, 4)
     assert not multi_capacity_supported("item-lru", trace, [])

@@ -12,11 +12,15 @@ from repro.analysis.mrc import (
     sampled_miss_ratio_curve,
     sampled_spatial_fraction,
 )
+from repro.core import rtc
 from repro.core.engine import simulate
+from repro.core.readwrite import RWTrace
 from repro.core.reuse import stack_distances
 from repro.errors import ConfigurationError
 from repro.policies import make_policy
 from repro.workloads import markov_spatial, sample_trace, shards, zipf_items
+from repro.workloads.stream import convert_to_rtc, sample_rtc
+from repro.workloads.trace_io import write_text_trace
 
 _blocks = st.lists(st.integers(0, 2**48), min_size=1, max_size=200)
 
@@ -62,6 +66,54 @@ def test_sampler_rate_monotone(blocks, lo, hi, seed):
     kept_lo = shards(min(lo, hi), seed).keep_blocks(arr)
     kept_hi = shards(max(lo, hi), seed).keep_blocks(arr)
     assert not (kept_lo & ~kept_hi).any()
+
+
+def _coin(sampler, blocks):
+    """The keep decision flipped for every access alone (one-element
+    calls have no runs to share a hash across)."""
+    flips = {b: bool(sampler.keep_blocks(np.array([b]))[0]) for b in set(blocks)}
+    return np.array([flips[b] for b in blocks], dtype=bool)
+
+
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(0, 2**48), st.integers(1, 60)), min_size=1, max_size=30
+    ),
+    rate=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_per_run_mask_equals_per_access_mask(runs, rate, seed):
+    sampler = shards(rate, seed)
+    blocks = [b for b, times in runs for _ in range(times)]
+    got = sampler.keep_blocks(np.asarray(blocks, dtype=np.int64))
+    assert got.tolist() == _coin(sampler, blocks).tolist()
+    square = np.asarray(blocks[: len(blocks) // 2 * 2], dtype=np.int64).reshape(2, -1)
+    assert sampler.keep_blocks(square).tolist() == [
+        _coin(sampler, row).tolist() for row in square.tolist()
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_per_run_mask_across_chunk_boundaries(tmp_path, chunk):
+    """Runs split by a chunk boundary keep one decision on both sides,
+    in every path that samples chunk by chunk."""
+    trace = markov_spatial(length=3000, universe=512, block_size=8, stay=0.95, seed=4)
+    sampler = shards(0.3, seed=9)
+    want = trace.items[_coin(sampler, trace.block_trace().tolist())]
+    assert np.array_equal(sampler.sampled_items(trace), want)
+    mm = rtc.open_rtc(rtc.trace_to_rtc(trace, tmp_path / "t.rtc"))
+    assert np.array_equal(sampler.sampled_items(mm, chunk=chunk), want)
+    thinned = sample_rtc(tmp_path / "t.rtc", tmp_path / "s.rtc", 0.3, seed=9, chunk=chunk)
+    assert np.array_equal(np.asarray(rtc.open_rtc(thinned).items), want)
+    text = write_text_trace(
+        RWTrace(trace=trace, is_write=np.zeros(len(trace), dtype=bool)),
+        tmp_path / "t.txt",
+    )
+    converted = convert_to_rtc(
+        text, tmp_path / "c.rtc", block_size=8, sample_rate=0.3, sample_seed=9, chunk=chunk
+    )
+    assert np.array_equal(np.asarray(rtc.open_rtc(converted).items), want)
 
 
 def test_sampler_rate_calibrated():
