@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
-from repro.errors import ConfigurationError, SolverError
+from repro.errors import ConfigurationError, SolverError, require_finite
 
 __all__ = ["LPSolution", "thm5_numeric", "thm6_numeric", "thm7_numeric", "space_cost"]
 
@@ -64,6 +63,8 @@ def _solve_fixed_t(
     i: float, b: float, h: float, B: float, t: float
 ) -> Optional[LPSolution]:
     """Maximize ``r + s(t-1)`` subject to the two §5.2 constraints."""
+    from scipy.optimize import linprog
+
     # linprog minimizes, so negate the objective.
     c = np.array([-1.0, -(t - 1.0)])
     a_ub = np.array(
@@ -83,6 +84,12 @@ def _solve_fixed_t(
     return LPSolution(ratio=1.0 / (1.0 - hits), r=r, s=s, t=t)
 
 
+def _check_b_h_B(b: float, h: float, B: float) -> None:
+    require_finite("b", b, at_least=0)
+    require_finite("h", h, above=0)
+    require_finite("B", B, at_least=1)
+
+
 def thm7_numeric(
     i: float, b: float, h: float, B: float, t_samples: int = 512
 ) -> LPSolution:
@@ -93,8 +100,8 @@ def thm7_numeric(
     competitive ratio for layer sizes ``(i, b)`` against OPT size
     ``h`` and must match Theorem 7's closed form.
     """
-    if B < 1:
-        raise ConfigurationError(f"B must be >= 1, got {B}")
+    require_finite("i", i, at_least=0)
+    _check_b_h_B(b, h, B)
     best: Optional[LPSolution] = None
     ts = np.unique(
         np.concatenate(
@@ -117,6 +124,8 @@ def thm5_numeric(i: float, h: float) -> LPSolution:
 
     Matches Theorem 5's ``i/(i-h)``.
     """
+    require_finite("i", i, above=0)
+    require_finite("h", h, above=0)
     # With s = 0 the program is max r s.t. r·i <= h, r <= 1.
     r = min(1.0, h / i)
     if r >= 1.0:
@@ -131,6 +140,7 @@ def thm6_numeric(b: float, h: float, B: float, t_samples: int = 512) -> LPSoluti
     layer size enters only through ``r``; pinning ``r = 0`` is
     equivalent to ``i → ∞``.
     """
+    _check_b_h_B(b, h, B)
     best: Optional[LPSolution] = None
     ts = np.unique(
         np.concatenate(

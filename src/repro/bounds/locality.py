@@ -42,8 +42,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from scipy.optimize import brentq
-
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -65,6 +63,8 @@ def _numeric_inverse(
     hi = hi_guess
     for _ in range(200):
         if func(hi) >= target:
+            from scipy.optimize import brentq
+
             return float(brentq(lambda n: func(n) - target, 1.0, hi))
         hi *= 2.0
     raise ConfigurationError(
@@ -78,7 +78,8 @@ class LocalityBounds:
 
     ``f`` and ``g`` map window size → max distinct items/blocks; they
     must be increasing and concave for the model's guarantees.  When
-    the exact inverse is unavailable, a bisection fallback is used.
+    the exact inverse is unavailable, a numeric root-finder
+    (:func:`scipy.optimize.brentq`) is used instead.
     """
 
     f: Callable[[float], float]

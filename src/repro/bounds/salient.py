@@ -23,12 +23,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List
 
-from scipy.optimize import brentq
-
 from repro.bounds.lower import gc_general_lower
 from repro.bounds.traditional import sleator_tarjan_lower
 from repro.bounds.upper import iblp_optimal_ratio
-from repro.errors import ConfigurationError, SolverError
+from repro.errors import ConfigurationError, SolverError, require_finite
 
 __all__ = ["meeting_point", "k_for_ratio", "table1_rows", "BOUND_FAMILIES"]
 
@@ -42,15 +40,22 @@ BOUND_FAMILIES: Dict[str, BoundFn] = {
 }
 
 
+def _check_h_B(h: float, B: float) -> None:
+    require_finite("h", h, above=0)
+    require_finite("B", B, at_least=1)
+
+
 def meeting_point(bound: BoundFn, h: float, B: float, k_max: float = None) -> float:
     """The ``k`` at which ``bound(k, h, B) == k / h``.
 
     All three families are decreasing in ``k`` while ``k/h`` increases,
-    so the crossing is unique; found by bisection over
-    ``(h+1, k_max]``.
+    so the crossing is unique; found by Brent's method
+    (:func:`scipy.optimize.brentq`) over ``(h+1, k_max]``.
     """
+    _check_h_B(h, B)
     if k_max is None:
         k_max = 4 * B * h + 16 * h
+    require_finite("k_max", k_max)
     f = lambda k: bound(k, h, B) - k / h
 
     lo = h * (1 + 1e-9) + 1
@@ -60,23 +65,28 @@ def meeting_point(bound: BoundFn, h: float, B: float, k_max: float = None) -> fl
         raise SolverError(
             f"no meeting point below k={k_max}; increase k_max"
         )
+    from scipy.optimize import brentq
+
     return float(brentq(f, lo, k_max, xtol=1e-6))
 
 
 def k_for_ratio(
     bound: BoundFn, h: float, B: float, target: float, k_max: float = None
 ) -> float:
-    """Smallest ``k`` with ``bound(k, h, B) <= target`` (bisection).
+    """Smallest ``k`` with ``bound(k, h, B) <= target`` (Brent's method).
 
     Raises :class:`SolverError` if the family never reaches ``target``
     below ``k_max`` (e.g. asking the GC lower bound for ratio < 2 —
     its infimum as ``k → ∞`` is 1 but convergence is slow; pick
     ``k_max`` accordingly).
     """
+    _check_h_B(h, B)
+    require_finite("target", target)
     if target <= 1:
         raise ConfigurationError(f"target ratio must exceed 1, got {target}")
     if k_max is None:
         k_max = 64 * B * h
+    require_finite("k_max", k_max)
     f = lambda k: bound(k, h, B) - target
     lo = h * (1 + 1e-9) + 1
     if f(lo) <= 0:
@@ -85,6 +95,8 @@ def k_for_ratio(
         raise SolverError(
             f"bound does not reach ratio {target} below k={k_max}"
         )
+    from scipy.optimize import brentq
+
     return float(brentq(f, lo, k_max, xtol=1e-6))
 
 
@@ -99,6 +111,7 @@ def table1_rows(h: float = 10_000.0, B: float = 64.0) -> List[Dict[str, float]]:
     * ``constant_ratio`` — augmentation at ``k = Bh`` (the paper's
       "constant ratio" operating point), plus the achieved ratio.
     """
+    _check_h_B(h, B)
     rows: List[Dict[str, float]] = []
 
     row: Dict[str, float] = {"setting": "constant_augmentation"}

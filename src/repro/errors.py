@@ -8,6 +8,8 @@ violations detected by the simulation engine's referee.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "GCCachingError",
     "ConfigurationError",
@@ -17,6 +19,7 @@ __all__ = [
     "SweepCellError",
     "TraceFormatError",
     "SolverError",
+    "require_finite",
 ]
 
 
@@ -72,3 +75,20 @@ class TraceFormatError(GCCachingError, ValueError):
 
 class SolverError(GCCachingError, RuntimeError):
     """An offline solver or LP optimizer failed to produce a solution."""
+
+
+def require_finite(
+    name: str,
+    value: float,
+    *,
+    above: float | None = None,
+    at_least: float | None = None,
+) -> None:
+    """Raise :class:`ConfigurationError` naming ``name`` unless ``value``
+    is finite and ``> above`` / ``>= at_least`` (each when given)."""
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+    if above is not None and not value > above:
+        raise ConfigurationError(f"{name} must be > {above}, got {value}")
+    if at_least is not None and not value >= at_least:
+        raise ConfigurationError(f"{name} must be >= {at_least}, got {value}")

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from scipy.optimize import brentq
-
 from repro.analysis.tables import format_table
 from repro.bounds.upper import iblp_optimal_item_layer, iblp_ratio
 from repro.campaign.integrate import UNCACHED, CampaignCache
 from repro.core.engine import simulate
-from repro.errors import SolverError
+from repro.errors import SolverError, require_finite
 from repro.workloads import hot_and_stream
 
 __all__ = ["bounds_crossing", "empirical_flip", "capacity_curves", "render"]
@@ -45,6 +43,10 @@ def bounds_crossing(
     respectively; returns their Theorem 7 ratios at both design points
     and the crossing ``h`` in between.
     """
+    require_finite("k", k, above=0)
+    require_finite("B", B, at_least=1)
+    require_finite("h_small", h_small, above=0)
+    require_finite("h_large", h_large, above=0)
     i_small = iblp_optimal_item_layer(k, h_small, B)
     i_large = iblp_optimal_item_layer(k, h_large, B)
 
@@ -57,6 +59,8 @@ def bounds_crossing(
         raise SolverError(
             "the tuned splits do not cross between their design points"
         )
+    from scipy.optimize import brentq
+
     h_cross = float(brentq(gap, h_small, h_large, xtol=1e-3))
     return {
         "k": k,
